@@ -1,7 +1,7 @@
 """Streaming 1D-convolution keyword spotting: batch and chunked streaming
-convolution, exact conversion to a dense per-step pipeline, int8
-post-training quantization, a log-mel frontend, and a sliding-window
-keyword decoder.
+convolution, exact conversion to a dense per-step pipeline run in float64
+or int8, post-training quantization, a log-mel frontend, and a
+sliding-window keyword decoder.
 """
 
 from .conv import (
@@ -43,14 +43,7 @@ from .frontend import (
     normalize,
     stream_features,
 )
-from .linearize import (
-    LinearizabilityReport,
-    LinearizedNet,
-    check_linearizable,
-    linearize_conv_layer,
-    linearize_network,
-    linearized_step,
-)
+from .linearize import LinearizabilityReport, check_linearizable, linearize_network
 from .model import (
     LiCoBlock,
     LiCoNet,
@@ -67,13 +60,12 @@ from .model import (
     receptive_field,
 )
 from .modelfile import Model, default_model, load_model, save_model
+from .pipeline import Pipeline, PipelineStage
 from .quantize import (
     CalibrationRanges,
     QuantizedLinearLayer,
-    QuantizedNet,
     calibrate_activations,
     quantize_network,
-    quantized_step,
 )
 from .runtime import StepResult, make_engine, read_wav, run_stream, write_wav
 from .tensor import (

@@ -11,14 +11,12 @@ import sys
 import numpy as np
 
 from .decoder import softmax
-from .errors import ModelFileError, NotLinearizableError
+from .errors import CalibrationError, ModelFileError, NotLinearizableError
 from .frontend import FeatureStream
 from .linearize import check_linearizable, linearize_network
 from .model import (
     LiCoNet,
     MlpNet,
-    StreamingNetwork,
-    bias_count,
     build_lico_net,
     build_mlp,
     count_macs_per_step,
@@ -75,19 +73,15 @@ def _cmd_info(args) -> int:
 def _layer_rows(model: Model):
     net = model.net
     if isinstance(net, (LiCoNet, MlpNet)):
-        stride = model.first_stride if isinstance(net, MlpNet) else None
-        for entry in layer_plan(net, stride):
+        for entry in layer_plan(net, model.first_stride):
             l = entry.layer
             yield (entry.name, f"{l.out_channels}x{l.in_channels}x{l.kernel}",
                    l.stride, l.activation, l.param_count, l.mac_count)
     else:
         for s in net.stages:
-            l = s.qlayer if hasattr(s, "qlayer") else s.layer
+            l = s.op
             yield (s.name, f"{l.in_dim}->{l.out_dim}", s.stride, l.activation,
                    l.param_count, l.mac_count)
-        l = net.classifier
-        yield ("classifier", f"{l.in_dim}->{l.out_dim}", 1, l.activation,
-               l.param_count, l.mac_count)
 
 
 def _cmd_check(args) -> int:
@@ -116,20 +110,16 @@ def _cmd_linearize(args) -> int:
         return 1
     lnet = linearize_network(model.net, model.first_stride)
     save_model(Model(lnet, model.frontend, model.decoder, model.first_stride), args.out)
-    print(f"wrote linearized pipeline ({len(lnet.stages)} stages + classifier) to {args.out}")
+    print(f"wrote linearized pipeline ({len(lnet.stages) - 1} stages + classifier) to {args.out}")
     return 0
 
 
 def _cmd_quantize(args) -> int:
     model = load_model(args.model)
-    if isinstance(model.net, (LiCoNet, MlpNet)):
-        lnet = linearize_network(model.net, model.first_stride)
-    elif hasattr(model.net, "stages") and not hasattr(model.net, "input_params"):
-        lnet = model.net.copy()
-        lnet.reset()
-    else:
+    if model.kind == "quantized":
         print(f"error: {args.model} is already quantized", file=sys.stderr)
         return 1
+    lnet = make_engine(model, "linear")
     pcm = read_wav(args.calib, model.frontend.sample_rate)
     features = FeatureStream(model.frontend).push(pcm)
     ranges = calibrate_activations(lnet, Tensor2D(features))
@@ -156,6 +146,12 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _step_through(engine, stream, t: int) -> np.ndarray:
+    return np.concatenate(
+        [engine.step_array(stream[:, j : j + t]) for j in range(0, stream.shape[1], t)], axis=1
+    )
+
+
 def _cmd_verify(args) -> int:
     model = load_model(args.model)
     net = model.net
@@ -164,38 +160,24 @@ def _cmd_verify(args) -> int:
         return 1
     t = model.first_stride
     rng = np.random.default_rng(args.seed)
-    fs = None if isinstance(net, LiCoNet) else t
     stream = rng.normal(0.0, 1.0, size=(net.input_features, args.steps * t))
 
-    conv_eng = StreamingNetwork(net, first_stride=fs)
-    lin_eng = linearize_network(net, t)
-    conv_out, lin_out = [], []
-    for j in range(args.steps):
-        chunk = stream[:, j * t : (j + 1) * t]
-        conv_out.append(conv_eng.step_array(chunk))
-        lin_out.append(lin_eng.step_array(chunk))
-    conv_out = np.concatenate(conv_out, axis=1)
-    lin_out = np.concatenate(lin_out, axis=1)
+    # Both engines are the float64 pipeline, reached through two routes.
+    conv_out = _step_through(make_engine(model, "conv"), stream, t)
+    lin_eng = make_engine(model, "linear")
+    lin_out = _step_through(lin_eng, stream, t)
 
-    from .model import receptive_field
-
-    pad = receptive_field(net, fs) - t
+    pad = model.receptive_field - t
     padded = np.concatenate([np.zeros((net.input_features, pad)), stream], axis=1)
-    batch_out = network_forward(net, Tensor2D(padded), fs).data
+    batch_out = network_forward(net, Tensor2D(padded), t).data
 
     dev_batch = float(np.max(np.abs(conv_out - batch_out)))
     dev_linear = float(np.max(np.abs(lin_out - conv_out)))
 
-    lnet = linearize_network(net, t)
-    ranges = calibrate_activations(lnet, Tensor2D(stream))
-    qnet = quantize_network(lnet, ranges)
-    lnet.reset()
-    drift = np.zeros(net.n_classes)
-    for j in range(args.steps):
-        chunk = stream[:, j * t : (j + 1) * t]
-        pf = softmax(lnet.step_array(chunk))
-        pq = softmax(qnet.step_array(chunk))
-        drift += np.abs(pf - pq)
+    qnet = quantize_network(lin_eng, calibrate_activations(lin_eng, Tensor2D(stream)))
+    lin_eng.reset()
+    pairs = zip(_step_through(lin_eng, stream, t).T, _step_through(qnet, stream, t).T)
+    drift = sum(np.abs(softmax(f) - softmax(q)) for f, q in pairs)
     dev_quant = float(np.max(drift / args.steps))
 
     ok = True
@@ -263,7 +245,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ModelFileError, NotLinearizableError, ValueError, OSError) as exc:
+    except (ModelFileError, NotLinearizableError, CalibrationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

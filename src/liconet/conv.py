@@ -119,12 +119,6 @@ class StreamState:
     history: np.ndarray
     chunk_size: int
 
-    def copy(self) -> "StreamState":
-        return StreamState(self.history.copy(), self.chunk_size)
-
-    def reset(self):
-        self.history = np.zeros_like(self.history)
-
 
 def stream_state_init(layer: Conv1DLayer, t: int) -> StreamState:
     """Zero-filled state for chunked streaming with chunk size t.
@@ -137,17 +131,6 @@ def stream_state_init(layer: Conv1DLayer, t: int) -> StreamState:
     return StreamState(np.zeros((layer.in_channels, layer.history_len)), t)
 
 
-def stream_step_array(layer: Conv1DLayer, state: StreamState, chunk: np.ndarray) -> np.ndarray:
-    """One streaming step on a raw (C, t) chunk; updates state in place."""
-    if chunk.shape[1] != state.chunk_size:
-        raise ShapeError(f"chunk has {chunk.shape[1]} frames, state expects {state.chunk_size}")
-    buf = np.concatenate([state.history, chunk], axis=1)
-    out = conv_valid_array(buf, layer)
-    h = layer.history_len
-    state.history = buf[:, buf.shape[1] - h :].copy() if h else buf[:, :0].copy()
-    return out
-
-
 def stream_step(layer: Conv1DLayer, state: StreamState, chunk: Tensor2D) -> Tensor2D:
     """Convolve [history || chunk] and roll the history forward.
 
@@ -158,4 +141,10 @@ def stream_step(layer: Conv1DLayer, state: StreamState, chunk: Tensor2D) -> Tens
         raise ShapeError(
             f"chunk has {chunk.channels} channels, layer expects {layer.in_channels}"
         )
-    return Tensor2D(stream_step_array(layer, state, chunk.data))
+    if chunk.frames != state.chunk_size:
+        raise ShapeError(f"chunk has {chunk.frames} frames, state expects {state.chunk_size}")
+    buf = np.concatenate([state.history, chunk.data], axis=1)
+    out = conv_valid_array(buf, layer)
+    h = layer.history_len
+    state.history = buf[:, buf.shape[1] - h :].copy() if h else buf[:, :0].copy()
+    return Tensor2D(out)

@@ -67,6 +67,9 @@ class DecoderConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "keyword_ids", tuple(int(i) for i in self.keyword_ids))
+        steps = (self.window_steps, self.smooth_steps)
+        if not all(isinstance(n, (int, np.integer)) for n in steps):
+            raise ConfigError("window and smoothing lengths must be whole steps")
         if not self.window_steps >= self.smooth_steps >= 1:
             raise ConfigError(
                 f"need window >= smoothing >= 1, got {self.window_steps} / {self.smooth_steps}"

@@ -1,25 +1,22 @@
-"""Exact conversion of a compliant streaming network into a pipeline of
-dense operators with per-stage ring buffers.
+"""Exact conversion of a compliant float network into its float64
+pipeline.
 
-Flattening contract (binding for weights and windows alike): a (C, K)
-input window flattens channel-major, x~[c*K + k] = window[c][k], and conv
-weights W of shape (D, C, K) reshape to Wd of shape (C*K, D) with
-Wd[c*K + k][d] = W[d][c][k]. A streaming conv whose chunk size equals its
-stride then computes exactly one dense product per step, so the whole
-network becomes a sequence of GEMVs once every later stride is 1.
+Conv weights W of shape (D, C, K) reshape to dense Wd of shape (C*K, D)
+with Wd[c*K + k][d] = W[d][c][k], the pipeline's channel-major window
+flattening. A stage whose input advances by its stride per step then
+computes exactly one dense product per step, so once every later stride
+is 1 the whole network steps as one GEMV per stage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .conv import Conv1DLayer, apply_activation_array
-from .errors import ConfigError, NotLinearizableError, ShapeError
-from .model import LiCoNet, LinearLayer, MlpNet, layer_plan
-from .tensor import Tensor2D
+from .errors import ConfigError, NotLinearizableError
+from .model import MlpNet, dense_stages, layer_plan
+from .pipeline import Pipeline
 
 
 @dataclass(frozen=True)
@@ -61,172 +58,14 @@ def check_linearizable(net, t: int) -> LinearizabilityReport:
     return LinearizabilityReport(not violations, violations)
 
 
-def linearize_conv_layer(layer: Conv1DLayer) -> LinearLayer:
-    """Reshape conv weights (D, C, K) to a dense (C*K, D) operator."""
-    w = layer.weights.transpose(1, 2, 0).reshape(layer.in_channels * layer.kernel, -1)
-    return LinearLayer(w, layer.bias, layer.activation)
-
-
-def flatten_window(window: np.ndarray) -> np.ndarray:
-    """Channel-major flattening of a (C, K) window; the contract above."""
-    return np.ascontiguousarray(window).reshape(-1)
-
-
-class Stage:
-    """One dense operator plus the ring buffer feeding its input window."""
-
-    __slots__ = ("name", "layer", "channels", "kernel", "stride", "ring",
-                 "captures_input", "residual_from")
-
-    def __init__(self, name, layer, channels, kernel, stride,
-                 captures_input=False, residual_from=None):
-        self.name = name
-        self.layer = layer
-        self.channels = channels
-        self.kernel = kernel
-        self.stride = stride
-        self.captures_input = captures_input
-        self.residual_from = residual_from
-        self.ring = np.zeros((channels, max(kernel - stride, 0)))
-
-    @property
-    def ring_width(self) -> int:
-        return max(self.kernel - self.stride, 0)
-
-
-class LinearizedNet:
-    """Per-step dense pipeline; weights immutable, ring buffers per stream.
-
-    last_step_macs counts the multiply-accumulates actually executed by
-    the most recent step (in_dim * out_dim per GEMV).
-    """
-
-    def __init__(self, stages, classifier: LinearLayer, chunk_size: int, input_features: int):
-        self.stages = list(stages)
-        self.classifier = classifier
-        self.chunk_size = chunk_size
-        self.input_features = input_features
-        self.n_classes = classifier.out_dim
-        self.last_step_macs = 0
-
-    @property
-    def macs_per_step(self) -> int:
-        return sum(s.layer.mac_count for s in self.stages) + self.classifier.mac_count
-
-    @property
-    def param_count(self) -> int:
-        return sum(s.layer.param_count for s in self.stages) + self.classifier.param_count
-
-    @property
-    def bias_count(self) -> int:
-        return sum(s.layer.bias.size for s in self.stages) + self.classifier.bias.size
-
-    def reset(self):
-        for s in self.stages:
-            s.ring = np.zeros_like(s.ring)
-
-    def copy(self) -> "LinearizedNet":
-        dup = LinearizedNet(
-            [Stage(s.name, s.layer, s.channels, s.kernel, s.stride,
-                   s.captures_input, s.residual_from) for s in self.stages],
-            self.classifier,
-            self.chunk_size,
-            self.input_features,
-        )
-        for mine, theirs in zip(self.stages, dup.stages):
-            theirs.ring = mine.ring.copy()
-        return dup
-
-    def step_array(self, chunk: np.ndarray) -> np.ndarray:
-        if chunk.shape != (self.input_features, self.chunk_size):
-            raise ShapeError(
-                f"chunk shape {chunk.shape} != ({self.input_features}, {self.chunk_size})"
-            )
-        macs = 0
-        captured = {}
-        cols = chunk
-        for idx, st in enumerate(self.stages):
-            if st.captures_input:
-                captured[idx] = cols[:, -1]
-            buf = np.concatenate([st.ring, cols], axis=1)
-            x = flatten_window(buf[:, : st.kernel])
-            y = x @ st.layer.weights + st.layer.bias
-            macs += st.layer.mac_count
-            y = apply_activation_array(y, st.layer.activation)
-            if st.residual_from is not None:
-                y = y + captured[st.residual_from]
-            h = st.ring_width
-            st.ring = buf[:, buf.shape[1] - h :].copy() if h else buf[:, :0]
-            cols = y[:, np.newaxis]
-        logits = cols[:, 0] @ self.classifier.weights + self.classifier.bias
-        macs += self.classifier.mac_count
-        self.last_step_macs = macs
-        return logits[:, np.newaxis]
-
-    def step(self, chunk: Tensor2D) -> Tensor2D:
-        return Tensor2D(self.step_array(chunk.data))
-
-    def prime_array(self, prefix: np.ndarray):
-        """Warm-start ring buffers from a prefix of input columns.
-
-        Propagates the prefix through each stage in valid mode with the
-        stage's own dense arithmetic, so a following step picks up exactly
-        where a batch pass over the prefix would.
-        """
-        captured = {}
-        z = prefix
-        for idx, st in enumerate(self.stages):
-            if st.captures_input:
-                captured[idx] = z
-            h = st.ring_width
-            if h:
-                if z.shape[1] < h:
-                    raise ShapeError(f"prefix leaves {z.shape[1]} columns for {st.name}, needs {h}")
-                st.ring = z[:, z.shape[1] - h :].copy()
-            if z.shape[1] >= st.kernel:
-                windows = sliding_window_view(z, st.kernel, axis=1)[:, :: st.stride, :]
-                flat = windows.transpose(1, 0, 2).reshape(windows.shape[1], -1)
-                y = (flat @ st.layer.weights + st.layer.bias).T
-                y = apply_activation_array(y, st.layer.activation)
-                if st.residual_from is not None:
-                    src = captured[st.residual_from]
-                    off = self.stages[st.residual_from].kernel - 1
-                    y = y + src[:, off : off + y.shape[1]]
-            else:
-                y = np.zeros((st.layer.out_dim, 0))
-            z = y
-
-
-def linearize_network(net, t: int) -> LinearizedNet:
-    """Convert a gated network into its dense per-step pipeline.
+def linearize_network(net, t: int) -> Pipeline:
+    """Convert a gated network into its float64 per-step pipeline.
 
     Raises NotLinearizableError (carrying the report) when the gate fails;
-    a compliant conversion yields one stage per conv layer with a
-    zero-initialized ring buffer of max(K - s, 0) columns.
+    a compliant conversion yields one stage per conv layer, classifier
+    last, with a zero history of max(K - s, 0) columns.
     """
     report = check_linearizable(net, t)
     if not report.compliant:
         raise NotLinearizableError(report)
-    first_stride = t if isinstance(net, MlpNet) else None
-    plan = layer_plan(net, first_stride)
-    stages = []
-    for entry in plan[:-1]:
-        layer = entry.layer
-        stages.append(
-            Stage(
-                entry.name,
-                linearize_conv_layer(layer),
-                layer.in_channels,
-                layer.kernel,
-                layer.stride,
-                captures_input=entry.captures_input,
-                residual_from=entry.residual_from,
-            )
-        )
-    classifier = linearize_conv_layer(plan[-1].layer)
-    return LinearizedNet(stages, classifier, t, plan[0].layer.in_channels)
-
-
-def linearized_step(lnet: LinearizedNet, chunk: Tensor2D) -> Tensor2D:
-    """Advance the pipeline one step; returns one column of logits."""
-    return lnet.step(chunk)
+    return Pipeline(dense_stages(net, t))

@@ -1,6 +1,7 @@
 """Network definitions: bottleneck conv blocks, the stacked detector
-network, the MLP baseline, whole-network forward passes, and
-parameter / multiply-accumulate accounting.
+network, the MLP baseline, whole-network forward passes, parameter /
+multiply-accumulate accounting, and the float64 pipeline that streams a
+network (see pipeline.py).
 
 A block chains three conv layers with channel plan
 c_in -> (K-conv) -> w -> (1x1 expand) -> e*w -> (1x1 project) -> w,
@@ -15,20 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import (
-    ACTIVATIONS,
-    Conv1DLayer,
-    StreamState,
-    conv_valid_array,
-    stream_state_init,
-    stream_step_array,
-)
-from .errors import ConfigError, ShapeError
+from .conv import Conv1DLayer, apply_activation_array, conv_valid_array
+from .errors import ConfigError, NotLinearizableError, ShapeError
+from .pipeline import DenseOperator, Pipeline, PipelineStage
 from .tensor import Tensor2D
 
 
 @dataclass(frozen=True)
-class LinearLayer:
+class LinearLayer(DenseOperator):
     """Dense layer with weights of shape (in_dim, out_dim) and bias (out_dim,)."""
 
     weights: np.ndarray
@@ -38,34 +33,14 @@ class LinearLayer:
     def __post_init__(self):
         w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
         b = np.ascontiguousarray(np.asarray(self.bias, dtype=np.float64))
-        if w.ndim != 2 or min(w.shape) < 1:
-            raise ShapeError(f"weights must be (in, out), got shape {w.shape}")
-        if b.shape != (w.shape[1],):
-            raise ShapeError(f"bias shape {b.shape} does not match {w.shape[1]} outputs")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"activation must be one of {ACTIVATIONS}")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise ShapeError("weights and bias must be finite")
-        w.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bias", b)
+        self._store(w, b)
 
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def param_count(self) -> int:
-        return self.weights.size + self.bias.size
-
-    @property
-    def mac_count(self) -> int:
-        return self.weights.size
+    def forward(self, windows, residual=None, source=None) -> np.ndarray:
+        """Float columns carry no scale, so source is unused."""
+        out = apply_activation_array(windows @ self.weights + self.bias, self.activation).T
+        return out if residual is None else out + residual
 
 
 @dataclass(frozen=True)
@@ -166,6 +141,11 @@ class LiCoNet:
     def n_classes(self) -> int:
         return self.classifier.out_channels
 
+    @property
+    def layers(self) -> tuple:
+        """Every conv layer in order, classifier last."""
+        return tuple(l for blk in self.blocks for l in blk.layers) + (self.classifier,)
+
 
 @dataclass(frozen=True)
 class MlpNet:
@@ -198,6 +178,10 @@ class MlpNet:
     @property
     def n_classes(self) -> int:
         return self.classifier.out_dim
+
+    @property
+    def layers(self) -> tuple:
+        return self.hidden + (self.classifier,)
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +279,17 @@ def dense_to_conv(layer: LinearLayer, channels: int, kernel: int, stride: int) -
 
 
 def conv_to_dense(layer: Conv1DLayer) -> LinearLayer:
+    """Reshape conv weights (D, C, K) to a dense (C*K, D) operator.
+
+    The conv layer has already checked everything LinearLayer would, so
+    the reshaped weights are not checked again.
+    """
     w = layer.weights.transpose(1, 2, 0).reshape(layer.in_channels * layer.kernel, -1)
-    return LinearLayer(w, layer.bias, layer.activation)
+    w.setflags(write=False)
+    dense = object.__new__(LinearLayer)
+    for name, value in (("weights", w), ("bias", layer.bias), ("activation", layer.activation)):
+        object.__setattr__(dense, name, value)
+    return dense
 
 
 def layer_plan(net, first_stride: int | None = None) -> list:
@@ -395,21 +388,11 @@ def network_forward(net, x: Tensor2D, first_stride: int | None = None) -> Tensor
 
 def count_params(net) -> int:
     """Total weight and bias elements, classifier included."""
-    if isinstance(net, LiCoNet):
-        total = sum(l.param_count for blk in net.blocks for l in blk.layers)
-        return total + net.classifier.param_count
-    if isinstance(net, MlpNet):
-        return sum(l.param_count for l in net.hidden) + net.classifier.param_count
-    return net.param_count
+    return sum(l.param_count for l in net.layers)
 
 
 def bias_count(net) -> int:
-    if isinstance(net, LiCoNet):
-        total = sum(l.bias.size for blk in net.blocks for l in blk.layers)
-        return total + net.classifier.bias.size
-    if isinstance(net, MlpNet):
-        return sum(l.bias.size for l in net.hidden) + net.classifier.bias.size
-    return net.bias_count
+    return sum(l.bias.size for l in net.layers)
 
 
 def count_macs_per_step(net) -> int:
@@ -421,96 +404,29 @@ def count_macs_per_step(net) -> int:
     """
     if isinstance(net, LiCoNet):
         from .linearize import check_linearizable
-        from .errors import NotLinearizableError
 
         report = check_linearizable(net, net.first_stride)
         if not report.compliant:
             raise NotLinearizableError(report)
-        total = sum(l.mac_count for blk in net.blocks for l in blk.layers)
-        return total + net.classifier.mac_count
-    if isinstance(net, MlpNet):
-        return sum(l.mac_count for l in net.hidden) + net.classifier.mac_count
-    return net.macs_per_step
+    return sum(l.mac_count for l in net.layers)
 
 
-class StreamingNetwork:
-    """Chunked streaming executor chaining per-layer streaming convolutions.
+def dense_stages(net, first_stride: int | None = None) -> list:
+    """One float64 pipeline stage per layer of the plan, classifier last."""
+    return [
+        PipelineStage(e.name, conv_to_dense(e.layer), e.layer.in_channels, e.layer.kernel,
+                      e.layer.stride, e.captures_input, e.residual_from)
+        for e in layer_plan(net, first_stride)
+    ]
 
-    Owns one StreamState per conv layer. Each step consumes chunk_size
-    input frames and emits chunk_size / s1 logit columns (exactly one under
-    the linearization conditions).
-    """
 
-    def __init__(self, net, chunk_size: int | None = None, first_stride: int | None = None):
-        self.plan = layer_plan(net, first_stride)
-        s1 = self.plan[0].layer.stride
-        t = s1 if chunk_size is None else chunk_size
-        if t < 1 or t % s1 != 0:
-            raise ConfigError(f"chunk size {t} is not a positive multiple of stride {s1}")
-        self.chunk_size = t
-        self.input_features = self.plan[0].layer.in_channels
-        self.n_classes = self.plan[-1].layer.out_channels
-        cols_per_step = t // s1
-        self.states = [stream_state_init(self.plan[0].layer, t)]
-        for entry in self.plan[1:]:
-            self.states.append(stream_state_init(entry.layer, cols_per_step))
+class StreamingNetwork(Pipeline):
+    """A float network streamed as its float64 pipeline; `states` are its
+    stages, each holding the stream's `history`."""
 
-    def reset(self):
-        for st in self.states:
-            st.reset()
+    def __init__(self, net, first_stride: int | None = None):
+        super().__init__(dense_stages(net, first_stride))
 
-    def copy(self) -> "StreamingNetwork":
-        dup = object.__new__(StreamingNetwork)
-        dup.plan = self.plan
-        dup.chunk_size = self.chunk_size
-        dup.input_features = self.input_features
-        dup.n_classes = self.n_classes
-        dup.states = [st.copy() for st in self.states]
-        return dup
-
-    def step_array(self, chunk: np.ndarray) -> np.ndarray:
-        captured = {}
-        z = chunk
-        for idx, (entry, state) in enumerate(zip(self.plan, self.states)):
-            if entry.captures_input:
-                captured[idx] = z
-            y = stream_step_array(entry.layer, state, z)
-            if entry.residual_from is not None:
-                y = y + captured[entry.residual_from]
-            z = y
-        return z
-
-    def step(self, chunk: Tensor2D) -> Tensor2D:
-        if chunk.channels != self.input_features:
-            raise ShapeError(
-                f"chunk has {chunk.channels} channels, network expects {self.input_features}"
-            )
-        return Tensor2D(self.step_array(chunk.data))
-
-    def prime_array(self, prefix: np.ndarray):
-        """Warm-start all histories as if the prefix had already streamed.
-
-        The prefix must hold receptive_field - s1 columns so the first
-        subsequent step has a fully real context on the stride grid.
-        """
-        captured = {}
-        z = prefix
-        for idx, (entry, state) in enumerate(zip(self.plan, self.states)):
-            if entry.captures_input:
-                captured[idx] = z
-            h = entry.layer.history_len
-            if h:
-                if z.shape[1] < h:
-                    raise ShapeError(
-                        f"prefix leaves {z.shape[1]} columns for {entry.name}, needs {h}"
-                    )
-                state.history = z[:, z.shape[1] - h :].copy()
-            if z.shape[1] >= entry.layer.kernel:
-                y = conv_valid_array(z, entry.layer)
-                if entry.residual_from is not None:
-                    src = captured[entry.residual_from]
-                    off = self.plan[entry.residual_from].layer.kernel - 1
-                    y = y + src[:, off : off + y.shape[1]]
-            else:
-                y = np.zeros((entry.layer.out_channels, 0))
-            z = y
+    @property
+    def states(self) -> list:
+        return self.stages

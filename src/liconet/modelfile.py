@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .errors import (
     VersionError,
 )
 from .frontend import FrontendConfig
-from .linearize import LinearizedNet, Stage
 from .model import (
     LiCoBlock,
     LiCoNet,
@@ -42,13 +41,23 @@ from .model import (
     receptive_field,
     receptive_field_of,
 )
-from .quantize import QuantizedLinearLayer, QuantizedNet, _QStage
+from .pipeline import Pipeline, PipelineStage
+from .quantize import QuantizedLinearLayer
 from .tensor import QuantParams
 
 MAGIC = b"LCN1"
 VERSION = 1
 
 _DTYPES = {"f32": np.dtype("<f4"), "i8": np.dtype("i1"), "i32": np.dtype("<i4")}
+
+# A pipeline's file kind and tensor dtypes follow its operator type, as do
+# the quantization parameters stored with each stage.
+_OPERATORS = {
+    LinearLayer: ("linearized", "f32", "f32", ()),
+    QuantizedLinearLayer: ("quantized", "i8", "i32", ("weight_params", "in_params", "out_params")),
+}
+_PIPELINE_KINDS = {kind: op for op, (kind, *_) in _OPERATORS.items()}
+_FLOAT_KINDS = {LiCoNet: "lico", MlpNet: "mlp"}
 
 
 @dataclass(frozen=True)
@@ -61,32 +70,30 @@ class Model:
     first_stride: int
 
     def __post_init__(self):
-        if self.first_stride < 1:
-            raise ConfigError(f"first stride must be >= 1, got {self.first_stride}")
+        if not isinstance(self.first_stride, (int, np.integer)) or self.first_stride < 1:
+            raise ConfigError(f"first stride must be an integer >= 1, got {self.first_stride!r}")
         if isinstance(self.net, LiCoNet) and self.net.first_stride != self.first_stride:
             raise ConfigError(
                 f"stored stride {self.first_stride} != block 1 stride {self.net.first_stride}"
             )
-        if isinstance(self.net, (LinearizedNet, QuantizedNet)):
-            if self.net.chunk_size != self.first_stride:
-                raise ConfigError("stored stride must equal the pipeline chunk size")
+        if isinstance(self.net, Pipeline) and self.net.chunk_size != self.first_stride:
+            raise ConfigError("stored stride must equal the pipeline chunk size")
+        n = self.net.n_classes
+        if max(self.decoder.keyword_ids) >= n:
+            raise ConfigError(f"keyword class ids {self.decoder.keyword_ids} exceed {n} classes")
 
     @property
     def kind(self) -> str:
-        return {
-            LiCoNet: "lico",
-            MlpNet: "mlp",
-            LinearizedNet: "linearized",
-            QuantizedNet: "quantized",
-        }[type(self.net)]
+        if isinstance(self.net, Pipeline):
+            return _OPERATORS[type(self.net.stages[-1].op)][0]
+        return _FLOAT_KINDS[type(self.net)]
 
     @property
     def receptive_field(self) -> int:
         net = self.net
-        if isinstance(net, (LiCoNet, MlpNet)):
-            stride = self.first_stride if isinstance(net, MlpNet) else None
-            return receptive_field(net, stride)
-        return receptive_field_of([s.kernel for s in net.stages], net.stages[0].stride)
+        if isinstance(net, Pipeline):
+            return receptive_field_of([s.kernel for s in net.stages], net.chunk_size)
+        return receptive_field(net, self.first_stride)
 
 
 def default_model(net, first_stride: int | None = None, threshold: float = 0.5) -> Model:
@@ -129,7 +136,7 @@ def _qparams_in(d) -> QuantParams:
 
 def _collect(model: Model):
     net = model.net
-    tensors = []
+    dtypes = ("f32", "f32")
     if isinstance(net, LiCoNet):
         arch = {
             "input_features": net.input_features,
@@ -146,13 +153,12 @@ def _collect(model: Model):
                 for b in net.blocks
             ],
         }
-        for i, blk in enumerate(net.blocks, start=1):
-            for j, layer in enumerate(blk.layers, start=1):
-                tensors.append((f"block{i}.conv{j}.weight", layer.weights, "f32"))
-                tensors.append((f"block{i}.conv{j}.bias", layer.bias, "f32"))
-        cls = conv_to_dense(net.classifier)
-        tensors.append(("classifier.weight", cls.weights, "f32"))
-        tensors.append(("classifier.bias", cls.bias, "f32"))
+        layers = [
+            (f"block{i}.conv{j}", layer)
+            for i, blk in enumerate(net.blocks, start=1)
+            for j, layer in enumerate(blk.layers, start=1)
+        ]
+        layers.append(("classifier", conv_to_dense(net.classifier)))
     elif isinstance(net, MlpNet):
         arch = {
             "input_frames": net.input_frames,
@@ -160,12 +166,15 @@ def _collect(model: Model):
             "hidden": [l.out_dim for l in net.hidden],
             "n_classes": net.n_classes,
         }
-        for i, layer in enumerate(net.hidden, start=1):
-            tensors.append((f"layer{i}.weight", layer.weights, "f32"))
-            tensors.append((f"layer{i}.bias", layer.bias, "f32"))
-        tensors.append(("classifier.weight", net.classifier.weights, "f32"))
-        tensors.append(("classifier.bias", net.classifier.bias, "f32"))
-    elif isinstance(net, LinearizedNet):
+        layers = [(f"layer{i}", layer) for i, layer in enumerate(net.hidden, start=1)]
+        layers.append(("classifier", net.classifier))
+    elif isinstance(net, Pipeline):
+        _, *dtypes, qfields = _OPERATORS[type(net.stages[-1].op)]
+
+        def qparams(op):
+            return {f: _qparams_out(getattr(op, f)) for f in qfields}
+
+        *body, cls = net.stages
         arch = {
             "input_features": net.input_features,
             "n_classes": net.n_classes,
@@ -176,53 +185,24 @@ def _collect(model: Model):
                     "channels": s.channels,
                     "kernel": s.kernel,
                     "stride": s.stride,
-                    "activation": s.layer.activation,
+                    "activation": s.op.activation,
                     "captures_input": s.captures_input,
                     "residual_from": s.residual_from,
+                    **qparams(s.op),
                 }
-                for s in net.stages
+                for s in body
             ],
         }
-        for s in net.stages:
-            tensors.append((f"{s.name}.weight", s.layer.weights, "f32"))
-            tensors.append((f"{s.name}.bias", s.layer.bias, "f32"))
-        tensors.append(("classifier.weight", net.classifier.weights, "f32"))
-        tensors.append(("classifier.bias", net.classifier.bias, "f32"))
-    elif isinstance(net, QuantizedNet):
-        arch = {
-            "input_features": net.input_features,
-            "n_classes": net.n_classes,
-            "chunk_size": net.chunk_size,
-            "input_params": _qparams_out(net.input_params),
-            "stages": [
-                {
-                    "name": s.name,
-                    "channels": s.channels,
-                    "kernel": s.kernel,
-                    "stride": s.stride,
-                    "activation": s.qlayer.activation,
-                    "captures_input": s.captures_input,
-                    "residual_from": s.residual_from,
-                    "weight_params": _qparams_out(s.qlayer.weight_params),
-                    "in_params": _qparams_out(s.qlayer.in_params),
-                    "out_params": _qparams_out(s.qlayer.out_params),
-                }
-                for s in net.stages
-            ],
-            "classifier": {
-                "activation": net.classifier.activation,
-                "weight_params": _qparams_out(net.classifier.weight_params),
-                "in_params": _qparams_out(net.classifier.in_params),
-                "out_params": _qparams_out(net.classifier.out_params),
-            },
-        }
-        for s in net.stages:
-            tensors.append((f"{s.name}.weight", s.qlayer.weights, "i8"))
-            tensors.append((f"{s.name}.bias", s.qlayer.bias, "i32"))
-        tensors.append(("classifier.weight", net.classifier.weights, "i8"))
-        tensors.append(("classifier.bias", net.classifier.bias, "i32"))
+        if qfields:
+            arch["input_params"] = _qparams_out(net.stages[0].op.in_params)
+            arch["classifier"] = {"activation": cls.op.activation, **qparams(cls.op)}
+        layers = [(s.name, s.op) for s in net.stages]
     else:
         raise ConfigError(f"cannot serialize {type(net).__name__}")
+    tensors = []
+    for name, layer in layers:
+        tensors.append((f"{name}.weight", layer.weights, dtypes[0]))
+        tensors.append((f"{name}.bias", layer.bias, dtypes[1]))
     fe = model.frontend
     tensors.append(("frontend.norm_mean", fe.norm_mean, "f32"))
     tensors.append(("frontend.norm_std", fe.norm_std, "f32"))
@@ -272,15 +252,12 @@ def _read_tensors(manifest, blob):
     offset = 0
     out = {}
     for entry in manifest["tensors"]:
-        try:
-            name, dtype, shape, byte_len = (
-                entry["name"],
-                entry["dtype"],
-                tuple(entry["shape"]),
-                entry["byte_len"],
-            )
-        except (KeyError, TypeError) as exc:
-            raise ManifestError(f"malformed tensor entry: {entry!r}") from exc
+        name, dtype, shape, byte_len = (
+            entry["name"],
+            entry["dtype"],
+            tuple(entry["shape"]),
+            entry["byte_len"],
+        )
         if dtype not in _DTYPES:
             raise ManifestError(f"tensor {name}: unknown dtype {dtype!r}")
         expected = int(np.prod(shape, dtype=np.int64)) * _DTYPES[dtype].itemsize
@@ -333,67 +310,33 @@ def _rebuild_net(manifest, tensors):
             tensors["classifier.weight"], tensors["classifier.bias"], "none"
         )
         return MlpNet(arch["input_frames"], arch["input_features"], hidden, classifier)
-    if kind == "linearized":
-        stages = []
-        for spec in arch["stages"]:
-            layer = LinearLayer(
-                tensors[f"{spec['name']}.weight"],
-                tensors[f"{spec['name']}.bias"],
-                spec["activation"],
+    if kind in _PIPELINE_KINDS:
+        op_type = _PIPELINE_KINDS[kind]
+        qfields = _OPERATORS[op_type][3]
+
+        def operator(name, spec):
+            return op_type(
+                weights=tensors[f"{name}.weight"],
+                bias=tensors[f"{name}.bias"],
+                activation=spec["activation"],
+                **{f: _qparams_in(spec[f]) for f in qfields},
             )
-            stages.append(
-                Stage(
-                    spec["name"],
-                    layer,
-                    spec["channels"],
-                    spec["kernel"],
-                    spec["stride"],
-                    spec["captures_input"],
-                    spec["residual_from"],
-                )
-            )
-        classifier = LinearLayer(
-            tensors["classifier.weight"], tensors["classifier.bias"], "none"
-        )
-        return LinearizedNet(stages, classifier, arch["chunk_size"], arch["input_features"])
-    if kind == "quantized":
-        stages = []
-        for spec in arch["stages"]:
-            qlayer = QuantizedLinearLayer(
-                tensors[f"{spec['name']}.weight"],
-                tensors[f"{spec['name']}.bias"],
-                _qparams_in(spec["weight_params"]),
-                _qparams_in(spec["in_params"]),
-                _qparams_in(spec["out_params"]),
-                spec["activation"],
-            )
-            stages.append(
-                _QStage(
-                    spec["name"],
-                    qlayer,
-                    spec["channels"],
-                    spec["kernel"],
-                    spec["stride"],
-                    spec["captures_input"],
-                    spec["residual_from"],
-                )
-            )
-        cspec = arch["classifier"]
-        classifier = QuantizedLinearLayer(
-            tensors["classifier.weight"],
-            tensors["classifier.bias"],
-            _qparams_in(cspec["weight_params"]),
-            _qparams_in(cspec["in_params"]),
-            _qparams_in(cspec["out_params"]),
-            cspec["activation"],
-        )
-        return QuantizedNet(
-            _qparams_in(arch["input_params"]),
-            stages,
-            classifier,
-            arch["chunk_size"],
-            arch["input_features"],
-        )
+
+        stages = [
+            PipelineStage(spec["name"], operator(spec["name"], spec), spec["channels"],
+                          spec["kernel"], spec["stride"], spec["captures_input"],
+                          spec["residual_from"])
+            for spec in arch["stages"]
+        ]
+        cls = operator("classifier", arch["classifier"] if qfields else {"activation": "none"})
+        net = Pipeline(stages + [PipelineStage("classifier", cls, cls.in_dim, 1, 1)])
+        declared = (arch["chunk_size"], arch["input_features"], arch["n_classes"])
+        derived = (net.chunk_size, net.input_features, net.n_classes)
+        if declared != derived:
+            raise ManifestError(f"arch gives chunk, features, classes {declared}, not {derived}")
+        if qfields and _qparams_in(arch["input_params"]) != net.stages[0].op.in_params:
+            raise ManifestError("input_params differ from the first stage's in_params")
+        return net
     raise ManifestError(f"unknown model kind {kind!r}")
 
 
@@ -415,11 +358,8 @@ def load_model(path) -> Model:
         manifest = json.loads(raw[10 : 10 + manifest_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
-    for key in ("kind", "arch", "frontend", "decoder", "tensors", "first_stride"):
-        if key not in manifest:
-            raise ManifestError(f"manifest missing required key {key!r}")
-    tensors = _read_tensors(manifest, raw[10 + manifest_len :])
     try:
+        tensors = _read_tensors(manifest, raw[10 + manifest_len :])
         net = _rebuild_net(manifest, tensors)
         fe = manifest["frontend"]
         frontend = FrontendConfig(
@@ -443,3 +383,5 @@ def load_model(path) -> Model:
         return Model(net, frontend, decoder, manifest["first_stride"])
     except KeyError as exc:
         raise ManifestError(f"manifest missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ManifestError(f"manifest does not describe a valid model: {exc}") from exc

@@ -1,23 +1,25 @@
-"""Post-training int8 quantization of a dense pipeline and its step
-function.
+"""Post-training int8 quantization of a float64 pipeline.
 
 Weights are quantized symmetrically per tensor, activations asymmetrically
 per stage from calibrated min/max ranges (widened to include zero). Biases
-are pre-scaled to 32-bit integers in units of w_scale * in_scale.
-Requantization uses a double-precision multiplier with
-round-half-away-from-zero, so the whole pipeline is bit-exact across runs
-and platforms once the input is quantized.
+are pre-scaled to 32-bit integers in units of w_scale * in_scale. The
+quantized pipeline keeps the float one's stages and histories and swaps
+each operator for a QuantizedLinearLayer: stage j takes int8 columns in its
+in_params, which are stage j-1's out_params, so columns flow between stages
+without conversion; the first stage quantizes the float input and the
+classifier dequantizes the logits. Requantization uses a double-precision
+multiplier with round-half-away-from-zero, so the whole pipeline is
+bit-exact across runs and platforms once the input is quantized.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CalibrationError, ConfigError, ShapeError
-from .linearize import LinearizedNet
+from .pipeline import DenseOperator, Pipeline
 from .tensor import (
     QMAX,
     QMIN,
@@ -35,7 +37,7 @@ MAX_IN_DIM = 16384
 
 
 @dataclass(frozen=True)
-class QuantizedLinearLayer:
+class QuantizedLinearLayer(DenseOperator):
     """int8 dense operator with pre-scaled int32 bias."""
 
     weights: np.ndarray  # int8, (in_dim, out_dim)
@@ -50,30 +52,36 @@ class QuantizedLinearLayer:
             raise ConfigError("weight quantization must be symmetric (zero_point 0)")
         w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.int8))
         b = np.ascontiguousarray(np.asarray(self.bias, dtype=np.int32))
-        if w.ndim != 2 or b.shape != (w.shape[1],):
-            raise ShapeError("weights must be (in, out) with matching bias")
+        self._store(w, b)
         if w.shape[0] > MAX_IN_DIM:
             raise ConfigError(f"in_dim {w.shape[0]} exceeds accumulator-safe {MAX_IN_DIM}")
-        w.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bias", b)
 
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[0]
+    def forward(self, windows, residual=None, source=None) -> np.ndarray:
+        """int8 windows to int8 columns. The residual, in source's
+        in_params, is rescaled to this layer's out_params and added before
+        the final clip."""
+        acc = (windows.astype(np.int64) - self.in_params.zero_point) @ self.weights.astype(
+            np.int64
+        ) + self.bias
+        m = self.weight_params.scale * self.in_params.scale / self.out_params.scale
+        z = round_half_away(acc.T.astype(np.float64) * m) + self.out_params.zero_point
+        if self.activation == "relu":
+            z = np.maximum(z, self.out_params.zero_point)
+        if residual is not None:
+            src = source.in_params
+            z = z + round_half_away(
+                (residual.astype(np.float64) - src.zero_point) * (src.scale / self.out_params.scale)
+            )
+        return np.clip(z, QMIN, QMAX).astype(np.int8)
 
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[1]
+    def encode(self, x: np.ndarray) -> np.ndarray:
+        return quantize_array(x, self.in_params)
 
-    @property
-    def param_count(self) -> int:
-        return self.weights.size + self.bias.size
+    def zeros(self, channels: int, width: int) -> np.ndarray:
+        return np.full((channels, width), self.in_params.zero_point, dtype=np.int8)
 
-    @property
-    def mac_count(self) -> int:
-        return self.weights.size
+    def decode(self, y: np.ndarray) -> np.ndarray:
+        return dequantize_array(y, self.out_params)
 
 
 @dataclass(frozen=True)
@@ -94,7 +102,7 @@ class CalibrationRanges:
         object.__setattr__(self, "stage_ranges", tuple(self.stage_ranges))
 
 
-def calibrate_activations(lnet: LinearizedNet, calib_stream: Tensor2D) -> CalibrationRanges:
+def calibrate_activations(lnet: Pipeline, calib_stream: Tensor2D) -> CalibrationRanges:
     """Stream calibration data in float and record per-stage ranges.
 
     Works on a private copy with fresh state; the caller's pipeline is not
@@ -112,193 +120,15 @@ def calibrate_activations(lnet: LinearizedNet, calib_stream: Tensor2D) -> Calibr
         )
     ln = lnet.copy()
     ln.reset()
-    data = calib_stream.data
-    n_stages = len(ln.stages) + 1
-    mins = np.full(n_stages, np.inf)
-    maxs = np.full(n_stages, -np.inf)
-    in_min, in_max = np.inf, -np.inf
+    used = calib_stream.data[:, : n_steps * t]
+    lo = np.full(len(ln.stages), np.inf)
+    hi = -lo
     for j in range(n_steps):
-        chunk = data[:, j * t : (j + 1) * t]
-        in_min = min(in_min, chunk.min())
-        in_max = max(in_max, chunk.max())
-        outputs = _step_collect(ln, chunk)
-        for i, out in enumerate(outputs):
-            mins[i] = min(mins[i], out.min())
-            maxs[i] = max(maxs[i], out.max())
-    ranges = tuple(StageRange(float(lo), float(hi)) for lo, hi in zip(mins, maxs))
-    return CalibrationRanges(float(in_min), float(in_max), ranges)
-
-
-def _step_collect(ln: LinearizedNet, chunk: np.ndarray):
-    """One float step returning every stage output (classifier last)."""
-    from .conv import apply_activation_array
-    from .linearize import flatten_window
-
-    outputs = []
-    captured = {}
-    cols = chunk
-    for idx, st in enumerate(ln.stages):
-        if st.captures_input:
-            captured[idx] = cols[:, -1]
-        buf = np.concatenate([st.ring, cols], axis=1)
-        x = flatten_window(buf[:, : st.kernel])
-        y = apply_activation_array(x @ st.layer.weights + st.layer.bias, st.layer.activation)
-        if st.residual_from is not None:
-            y = y + captured[st.residual_from]
-        h = st.ring_width
-        st.ring = buf[:, buf.shape[1] - h :].copy() if h else buf[:, :0]
-        outputs.append(y)
-        cols = y[:, np.newaxis]
-    logits = cols[:, 0] @ ln.classifier.weights + ln.classifier.bias
-    outputs.append(logits)
-    return outputs
-
-
-class _QStage:
-    __slots__ = ("name", "qlayer", "channels", "kernel", "stride", "ring",
-                 "captures_input", "residual_from")
-
-    def __init__(self, name, qlayer, channels, kernel, stride, captures_input, residual_from):
-        self.name = name
-        self.qlayer = qlayer
-        self.channels = channels
-        self.kernel = kernel
-        self.stride = stride
-        self.captures_input = captures_input
-        self.residual_from = residual_from
-        self.ring = np.full(
-            (channels, max(kernel - stride, 0)), qlayer.in_params.zero_point, dtype=np.int8
-        )
-
-    @property
-    def ring_width(self) -> int:
-        return max(self.kernel - self.stride, 0)
-
-
-class QuantizedNet:
-    """int8 mirror of a dense pipeline; ring buffers hold quantized columns.
-
-    Stage j consumes int8 in stage j's input params, which are shared with
-    stage j-1's output params, so columns flow between stages without
-    conversion. Ring buffers start at the quantized representation of zero.
-    """
-
-    def __init__(self, input_params, stages, classifier, chunk_size, input_features):
-        self.input_params = input_params
-        self.stages = list(stages)
-        self.classifier = classifier
-        self.chunk_size = chunk_size
-        self.input_features = input_features
-        self.n_classes = classifier.out_dim
-
-    @property
-    def macs_per_step(self) -> int:
-        return sum(s.qlayer.mac_count for s in self.stages) + self.classifier.mac_count
-
-    @property
-    def param_count(self) -> int:
-        return sum(s.qlayer.param_count for s in self.stages) + self.classifier.param_count
-
-    @property
-    def bias_count(self) -> int:
-        return sum(s.qlayer.bias.size for s in self.stages) + self.classifier.bias.size
-
-    def reset(self):
-        for s in self.stages:
-            s.ring = np.full_like(s.ring, s.qlayer.in_params.zero_point)
-
-    def copy(self) -> "QuantizedNet":
-        dup = QuantizedNet(
-            self.input_params,
-            [
-                _QStage(s.name, s.qlayer, s.channels, s.kernel, s.stride,
-                        s.captures_input, s.residual_from)
-                for s in self.stages
-            ],
-            self.classifier,
-            self.chunk_size,
-            self.input_features,
-        )
-        for mine, theirs in zip(self.stages, dup.stages):
-            theirs.ring = mine.ring.copy()
-        return dup
-
-    def _gemv(self, qlayer, x_int8):
-        x = x_int8.astype(np.int64) - qlayer.in_params.zero_point
-        return x @ qlayer.weights.astype(np.int64) + qlayer.bias
-
-    def _requant(self, qlayer, acc):
-        m = qlayer.weight_params.scale * qlayer.in_params.scale / qlayer.out_params.scale
-        z = round_half_away(acc.astype(np.float64) * m) + qlayer.out_params.zero_point
-        if qlayer.activation == "relu":
-            z = np.maximum(z, qlayer.out_params.zero_point)
-        return z
-
-    def _residual_term(self, src_params, out_params, res_q):
-        m = src_params.scale / out_params.scale
-        return round_half_away((res_q.astype(np.float64) - src_params.zero_point) * m)
-
-    def step_array(self, chunk: np.ndarray) -> np.ndarray:
-        if chunk.shape != (self.input_features, self.chunk_size):
-            raise ShapeError(
-                f"chunk shape {chunk.shape} != ({self.input_features}, {self.chunk_size})"
-            )
-        cols = quantize_array(chunk, self.input_params)
-        captured = {}
-        for idx, st in enumerate(self.stages):
-            q = st.qlayer
-            if st.captures_input:
-                captured[idx] = cols[:, -1]
-            buf = np.concatenate([st.ring, cols], axis=1)
-            acc = self._gemv(q, buf[:, : st.kernel].reshape(-1))
-            z = self._requant(q, acc)
-            if st.residual_from is not None:
-                src = self.stages[st.residual_from].qlayer.in_params
-                z = z + self._residual_term(src, q.out_params, captured[st.residual_from])
-            z = np.clip(z, QMIN, QMAX).astype(np.int8)
-            h = st.ring_width
-            st.ring = buf[:, buf.shape[1] - h :].copy() if h else buf[:, :0]
-            cols = z[:, np.newaxis]
-        q = self.classifier
-        acc = self._gemv(q, cols[:, 0])
-        z = np.clip(self._requant(q, acc), QMIN, QMAX).astype(np.int8)
-        logits = dequantize_array(z, q.out_params)
-        return logits[:, np.newaxis]
-
-    def step(self, chunk: Tensor2D) -> Tensor2D:
-        return Tensor2D(self.step_array(chunk.data))
-
-    def prime_array(self, prefix: np.ndarray):
-        """Warm-start int8 ring buffers from a float prefix of columns."""
-        captured = {}
-        z = quantize_array(prefix, self.input_params)
-        for idx, st in enumerate(self.stages):
-            q = st.qlayer
-            if st.captures_input:
-                captured[idx] = z
-            h = st.ring_width
-            if h:
-                if z.shape[1] < h:
-                    raise ShapeError(f"prefix leaves {z.shape[1]} columns for {st.name}, needs {h}")
-                st.ring = z[:, z.shape[1] - h :].copy()
-            if z.shape[1] >= st.kernel:
-                windows = sliding_window_view(z, st.kernel, axis=1)[:, :: st.stride, :]
-                flat = windows.transpose(1, 0, 2).reshape(windows.shape[1], -1)
-                acc = (flat.astype(np.int64) - q.in_params.zero_point) @ q.weights.astype(
-                    np.int64
-                ) + q.bias
-                out = self._requant(q, acc.T)
-                if st.residual_from is not None:
-                    src_stage = self.stages[st.residual_from]
-                    off = src_stage.kernel - 1
-                    res = captured[st.residual_from][:, off : off + out.shape[1]]
-                    out = out + self._residual_term(
-                        src_stage.qlayer.in_params, q.out_params, res
-                    )
-                y = np.clip(out, QMIN, QMAX).astype(np.int8)
-            else:
-                y = np.zeros((q.out_dim, 0), dtype=np.int8)
-            z = y
+        outs = ln.run(used[:, j * t : (j + 1) * t])
+        lo = np.minimum(lo, [out.min() for out in outs])
+        hi = np.maximum(hi, [out.max() for out in outs])
+    ranges = tuple(StageRange(float(a), float(b)) for a, b in zip(lo, hi))
+    return CalibrationRanges(float(used.min()), float(used.max()), ranges)
 
 
 def _weight_params(w: np.ndarray) -> QuantParams:
@@ -306,51 +136,26 @@ def _weight_params(w: np.ndarray) -> QuantParams:
     return choose_quant_params(-a, a, "symmetric")
 
 
-def quantize_network(lnet: LinearizedNet, ranges: CalibrationRanges) -> QuantizedNet:
-    """Quantize every stage of a dense pipeline using calibrated ranges."""
-    expected = len(lnet.stages) + 1
-    if len(ranges.stage_ranges) != expected:
+def quantize_network(lnet: Pipeline, ranges: CalibrationRanges) -> Pipeline:
+    """Quantize every stage of a float64 pipeline using calibrated ranges."""
+    if len(ranges.stage_ranges) != len(lnet.stages):
         raise CalibrationError(
-            f"have ranges for {len(ranges.stage_ranges)} stages, pipeline has {expected}"
+            f"have ranges for {len(ranges.stage_ranges)} stages, pipeline has {len(lnet.stages)}"
         )
     in_params = choose_quant_params(ranges.input_min, ranges.input_max, "asymmetric")
-    qstages = []
+    stages = []
     for st, rng in zip(lnet.stages, ranges.stage_ranges):
-        wp = _weight_params(st.layer.weights)
+        layer = st.op
+        wp = _weight_params(layer.weights)
         out_params = choose_quant_params(rng.out_min, rng.out_max, "asymmetric")
         qlayer = QuantizedLinearLayer(
-            quantize_array(st.layer.weights, wp),
-            round_half_away(st.layer.bias / (wp.scale * in_params.scale)).astype(np.int32),
+            quantize_array(layer.weights, wp),
+            round_half_away(layer.bias / (wp.scale * in_params.scale)).astype(np.int32),
             wp,
             in_params,
             out_params,
-            st.layer.activation,
+            layer.activation,
         )
-        qstages.append(
-            _QStage(st.name, qlayer, st.channels, st.kernel, st.stride,
-                    st.captures_input, st.residual_from)
-        )
+        stages.append(replace(st, op=qlayer))
         in_params = out_params
-    cls_range = ranges.stage_ranges[-1]
-    wp = _weight_params(lnet.classifier.weights)
-    out_params = choose_quant_params(cls_range.out_min, cls_range.out_max, "asymmetric")
-    classifier = QuantizedLinearLayer(
-        quantize_array(lnet.classifier.weights, wp),
-        round_half_away(lnet.classifier.bias / (wp.scale * in_params.scale)).astype(np.int32),
-        wp,
-        in_params,
-        out_params,
-        lnet.classifier.activation,
-    )
-    return QuantizedNet(
-        choose_quant_params(ranges.input_min, ranges.input_max, "asymmetric"),
-        qstages,
-        classifier,
-        lnet.chunk_size,
-        lnet.input_features,
-    )
-
-
-def quantized_step(qnet: QuantizedNet, chunk: Tensor2D) -> Tensor2D:
-    """Advance the int8 pipeline one step; logits come back as float."""
-    return qnet.step(chunk)
+    return Pipeline(stages)

@@ -1,11 +1,14 @@
 """End-to-end streaming: WAV in, feature frames, one inference step per
 stride-many frames, softmax, smoothing, sliding-window score, events.
 
-All engines share the same state protocol: prime on the first
-receptive_field - stride feature frames (never negative, and on the
-stride grid, so the first emitted posterior has a fully real context and
-step k equals batch column k), then one step per chunk. A stream of F
-frames therefore yields floor((F - RF) / s1) + 1 posteriors.
+Every engine is a pipeline (see pipeline.py) with fresh stream state:
+`conv` and `linear` run a float model as its float64 pipeline (`linear`
+through the linearization gate), `linear` also runs a linearized file,
+and `int8` runs a quantized file. A stream primes on the first receptive_field - stride
+feature frames (never negative, and on the stride grid, so the first
+emitted posterior has a fully real context and step k equals batch
+column k), then steps once per chunk. A stream of F frames therefore
+yields floor((F - RF) / s1) + 1 posteriors.
 """
 
 from __future__ import annotations
@@ -18,10 +21,9 @@ import numpy as np
 from .decoder import DetectionEvent, KeywordDecoder, PosteriorFrame, posterior_from_logits
 from .errors import ConfigError, InvalidInputError
 from .frontend import FeatureStream
-from .linearize import LinearizedNet, linearize_network
-from .model import LiCoNet, MlpNet, StreamingNetwork
+from .linearize import linearize_network
+from .model import StreamingNetwork
 from .modelfile import Model
-from .quantize import QuantizedNet
 
 ENGINES = ("conv", "linear", "int8")
 
@@ -59,25 +61,21 @@ def make_engine(model: Model, engine: str):
     """Instantiate the requested execution engine with fresh state."""
     if engine not in ENGINES:
         raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
-    net, stride = model.net, model.first_stride
-    if engine == "conv":
-        if not isinstance(net, (LiCoNet, MlpNet)):
-            raise ConfigError(f"conv engine needs a float model, file holds {model.kind!r}")
-        fs = stride if isinstance(net, MlpNet) else None
-        return StreamingNetwork(net, first_stride=fs)
-    if engine == "linear":
-        if isinstance(net, LinearizedNet):
-            dup = net.copy()
-            dup.reset()
-            return dup
-        if isinstance(net, (LiCoNet, MlpNet)):
-            return linearize_network(net, stride)
-        raise ConfigError(f"linear engine needs a float or linearized model, not {model.kind!r}")
-    if not isinstance(net, QuantizedNet):
-        raise ConfigError(f"int8 engine needs a quantized model, file holds {model.kind!r}")
-    dup = net.copy()
-    dup.reset()
-    return dup
+    kind = model.kind
+    if kind in ("lico", "mlp") and engine == "conv":
+        return StreamingNetwork(model.net, model.first_stride)
+    if kind in ("lico", "mlp") and engine == "linear":
+        return linearize_network(model.net, model.first_stride)
+    if (engine, kind) in (("linear", "linearized"), ("int8", "quantized")):
+        dup = model.net.copy()
+        dup.reset()
+        return dup
+    needs = {
+        "conv": "needs a float model, file holds",
+        "linear": "needs a float or linearized model, not",
+        "int8": "needs a quantized model, file holds",
+    }
+    raise ConfigError(f"{engine} engine {needs[engine]} {kind!r}")
 
 
 @dataclass(frozen=True)

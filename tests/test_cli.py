@@ -19,3 +19,17 @@ def test_verify_passes_when_first_kernel_is_shorter_than_stride(tmp_path, capsys
     assert "FAIL" not in out
     assert "error:" not in err
     assert out.count(" ok") == 3
+
+
+def test_quantize_with_calibration_shorter_than_one_step_exits_1(tmp_path, capsys):
+    import numpy as np
+
+    from liconet.runtime import write_wav
+
+    model, wav = str(tmp_path / "model.lcn"), str(tmp_path / "short.wav")
+    assert cli_main(["init", "--arch", "lico", "--preset", "small",
+                     "--stride", "3", "--out", model]) == 0
+    write_wav(wav, np.zeros(400, dtype=np.int16))  # one 25 ms frame, a step needs 3
+    capsys.readouterr()
+    assert cli_main(["quantize", model, "--calib", wav, "--out", str(tmp_path / "q.lcn")]) == 1
+    assert capsys.readouterr().err.startswith("error: calibration stream has")
