@@ -1,18 +1,22 @@
 """Model files whose manifest was edited after saving: every such file must
 fail inside load_model with a ModelFileError, never later at a step."""
 
+import copy
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liconet.cli import main as cli_main
-from liconet.errors import ManifestError
+from liconet.errors import ManifestError, ModelFileError
 from liconet.linearize import linearize_network
 from liconet.model import build_lico_net, build_mlp
 from liconet.modelfile import default_model, load_model, save_model
 from liconet.quantize import calibrate_activations, quantize_network
+from liconet.runtime import make_engine
 from liconet.tensor import Tensor2D
 
 
@@ -102,3 +106,51 @@ def test_malformed_manifest_fails_in_load_and_cli(tmp_path, capsys, case):
         load_model(path)
     assert cli_main(["info", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _leaf_paths(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _leaf_paths(child, path + (i,))
+    if path:
+        yield path
+
+
+EDIT_VALUES = [0, 1, -1, 2, 3, 40, 1.5, -2.0, 1e300, None, True, "x", "relu", [], [1, 40], {}]
+ENGINE = {"lico": "conv", "mlp": "conv", "linearized": "linear", "quantized": "int8"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(ENGINE)),
+    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=2),
+    value=st.sampled_from(EDIT_VALUES),
+)
+def test_random_manifest_edits_fail_in_load_or_run(tmp_path_factory, kind, picks, value):
+    """Replace one or two manifest values: the file is rejected by
+    load_model, or it primes and steps."""
+    path = _save(tmp_path_factory.mktemp("fuzz"), kind)
+
+    def mutate(manifest):
+        for pick in picks:
+            paths = list(_leaf_paths(manifest))
+            *parents, last = paths[pick % len(paths)]
+            node = manifest
+            for key in parents:
+                node = node[key]
+            node[last] = copy.deepcopy(value)
+
+    _rewrite(path, mutate)
+    try:
+        model = load_model(path)
+    except ModelFileError:
+        return
+    engine = make_engine(model, ENGINE[model.kind])
+    t, prime = model.first_stride, model.receptive_field - model.first_stride
+    x = np.random.default_rng(0).normal(size=(model.net.input_features, prime + 3 * t))
+    engine.prime_array(x[:, :prime])
+    for j in range(3):
+        engine.step_array(x[:, prime + j * t : prime + (j + 1) * t])
