@@ -23,17 +23,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liconet.decoder import DecoderConfig
-from liconet.frontend import FrontendConfig
 from liconet.linearize import linearize_network
 from liconet.model import build_lico_net, build_mlp, network_forward, receptive_field
-from liconet.modelfile import Model, default_model, load_model, save_model
-from liconet.quantize import (
-    CalibrationRanges,
-    StageRange,
-    calibrate_activations,
-    quantize_network,
-)
+from liconet.modelfile import default_model, load_model, save_model
+from liconet.quantize import CalibrationRanges, StageRange, quantize_network
 from liconet.runtime import make_engine
 from liconet.tensor import Tensor2D
 
