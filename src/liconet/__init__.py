@@ -38,10 +38,8 @@ from .frontend import (
     FeatureStream,
     FrontendConfig,
     compute_logmel_frame,
-    denormalize,
     mel_band_energies,
     normalize,
-    stream_features,
 )
 from .linearize import LinearizabilityReport, check_linearizable, linearize_network
 from .model import (
@@ -58,6 +56,7 @@ from .model import (
     count_params,
     network_forward,
     receptive_field,
+    stage_plan,
 )
 from .modelfile import Model, default_model, load_model, save_model
 from .pipeline import Pipeline, PipelineStage

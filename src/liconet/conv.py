@@ -13,7 +13,7 @@ left-padded with max(K-s, 0) zero columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -84,27 +84,22 @@ class Conv1DLayer:
         """Columns of input state carried between streaming chunks."""
         return max(self.kernel - self.stride, 0)
 
-    @property
-    def param_count(self) -> int:
-        return self.weights.size + self.bias.size
 
-    @property
-    def mac_count(self) -> int:
-        """Multiply-accumulates to produce one output column."""
-        return self.weights.size
+def conv_valid(x: np.ndarray, weights: np.ndarray, bias, stride: int, activation: str):
+    """Batch convolution of a raw (C, T) array by weights (D, C, K), T >= K."""
+    c, t = x.shape
+    k = weights.shape[2]
+    if c != weights.shape[1]:
+        raise ShapeError(f"input has {c} channels, layer expects {weights.shape[1]}")
+    if t < k:
+        raise ShapeError(f"input has {t} frames, kernel needs at least {k}")
+    windows = sliding_window_view(x, k, axis=1)[:, ::stride, :]  # (C, n, K)
+    out = np.einsum("dck,cnk->dn", weights, windows) + bias[:, np.newaxis]
+    return apply_activation_array(out, activation)
 
 
 def conv_valid_array(x: np.ndarray, layer: Conv1DLayer) -> np.ndarray:
-    """Batch convolution on a raw (C, T) array, T >= K required."""
-    c, t = x.shape
-    k = layer.kernel
-    if c != layer.in_channels:
-        raise ShapeError(f"input has {c} channels, layer expects {layer.in_channels}")
-    if t < k:
-        raise ShapeError(f"input has {t} frames, kernel needs at least {k}")
-    windows = sliding_window_view(x, k, axis=1)[:, :: layer.stride, :]  # (C, n, K)
-    out = np.einsum("dck,cnk->dn", layer.weights, windows) + layer.bias[:, np.newaxis]
-    return apply_activation_array(out, layer.activation)
+    return conv_valid(x, layer.weights, layer.bias, layer.stride, layer.activation)
 
 
 def conv1d_forward(x: Tensor2D, layer: Conv1DLayer) -> Tensor2D:

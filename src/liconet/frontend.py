@@ -9,7 +9,7 @@ identity stats are the default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -93,10 +93,6 @@ class FrontendConfig:
         return edges
 
     @cached_property
-    def mel_centers_hz(self) -> np.ndarray:
-        return self.mel_edges_hz[1:-1]
-
-    @cached_property
     def mel_bank(self) -> np.ndarray:
         """Triangular filters sampled at the FFT bin frequencies."""
         edges = self.mel_edges_hz
@@ -128,10 +124,6 @@ def compute_logmel_frame(samples, cfg: FrontendConfig) -> np.ndarray:
 
 def normalize(frame, cfg: FrontendConfig) -> np.ndarray:
     return (np.asarray(frame, dtype=np.float64) - cfg.norm_mean) / cfg.norm_std
-
-
-def denormalize(frame, cfg: FrontendConfig) -> np.ndarray:
-    return np.asarray(frame, dtype=np.float64) * cfg.norm_std + cfg.norm_mean
 
 
 def pcm_to_float(samples) -> np.ndarray:
@@ -168,11 +160,3 @@ class FeatureStream:
             return np.zeros((cfg.n_mels, 0))
         return np.stack(frames, axis=1)
 
-
-def stream_features(pcm_chunks, cfg: FrontendConfig):
-    """Iterate normalized frames (1D vectors) over a sequence of PCM chunks."""
-    fs = FeatureStream(cfg)
-    for chunk in pcm_chunks:
-        frames = fs.push(chunk)
-        for i in range(frames.shape[1]):
-            yield frames[:, i]

@@ -1,11 +1,11 @@
-"""Exact conversion of a compliant float network into its float64
-pipeline.
+"""The linearization gate and the float64 pipeline of a compliant network.
 
-Conv weights W of shape (D, C, K) reshape to dense Wd of shape (C*K, D)
-with Wd[c*K + k][d] = W[d][c][k], the pipeline's channel-major window
-flattening. A stage whose input advances by its stride per step then
-computes exactly one dense product per step, so once every later stride
-is 1 the whole network steps as one GEMV per stage.
+A network's stage plan (model.stage_plan) already holds one dense operator
+per layer over channel-major windows, Wd[c*K + k][d] = W[d][c][k]. A
+stage whose input advances by its stride per step computes exactly one
+dense product per step, so when the first stride equals the chunk size
+and every later stride is 1, the whole network steps as one GEMV per
+stage. The gate checks exactly that on the plan.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NotLinearizableError
-from .model import MlpNet, dense_stages, layer_plan
+from .model import MlpNet, stage_plan
 from .pipeline import Pipeline
 
 
@@ -32,40 +32,42 @@ class LinearizabilityReport:
             raise ConfigError("compliant flag must match an empty violation list")
 
 
-def check_linearizable(net, t: int) -> LinearizabilityReport:
-    """Gate for the conv-to-dense conversion. Reports, never throws.
-
-    Compliant iff the first layer stride equals the chunk size t and every
-    later conv layer (pointwise layers and classifier included) has
-    stride 1. For the MLP baseline the first-layer stride is chosen at
-    conversion time, so any positive chunk size is compliant.
-    """
-    violations = []
-    if not isinstance(t, (int, np.integer)) or t < 1:
-        violations.append(("chunk", f"chunk size must be a positive integer, got {t}"))
-        return LinearizabilityReport(False, violations)
-    if isinstance(net, MlpNet):
-        return LinearizabilityReport(True)
-    plan = layer_plan(net)
-    first = plan[0]
-    if first.layer.stride != t:
-        violations.append(
-            (first.name, f"first layer stride {first.layer.stride} != chunk size {t}")
-        )
-    for entry in plan[1:]:
-        if entry.layer.stride != 1:
-            violations.append((entry.name, f"stride {entry.layer.stride} != 1"))
+def check_stages(stages, t: int) -> LinearizabilityReport:
+    """The gate on a stage plan: first stride t, every later stride 1."""
+    first, *later = stages
+    violations = [] if first.stride == t else [
+        (first.name, f"first layer stride {first.stride} != chunk size {t}")
+    ]
+    violations += [(st.name, f"stride {st.stride} != 1") for st in later if st.stride != 1]
     return LinearizabilityReport(not violations, violations)
 
 
+def check_linearizable(net, t: int) -> LinearizabilityReport:
+    """Gate for stepping a network once per chunk of t frames. Reports,
+    never throws.
+
+    Compliant iff the first layer stride equals the chunk size t and every
+    later layer (pointwise layers and classifier included) has stride 1.
+    For the MLP baseline the first-layer stride is chosen at conversion
+    time, so any positive chunk size is compliant.
+    """
+    if not isinstance(t, (int, np.integer)) or t < 1:
+        return LinearizabilityReport(
+            False, [("chunk", f"chunk size must be a positive integer, got {t}")]
+        )
+    if isinstance(net, MlpNet):
+        return LinearizabilityReport(True)
+    return check_stages(stage_plan(net), t)
+
+
 def linearize_network(net, t: int) -> Pipeline:
-    """Convert a gated network into its float64 per-step pipeline.
+    """The float64 per-step pipeline of a gated network.
 
     Raises NotLinearizableError (carrying the report) when the gate fails;
-    a compliant conversion yields one stage per conv layer, classifier
-    last, with a zero history of max(K - s, 0) columns.
+    a compliant network yields one stage per layer, classifier last, with
+    a zero history of max(K - s, 0) columns.
     """
     report = check_linearizable(net, t)
     if not report.compliant:
         raise NotLinearizableError(report)
-    return Pipeline(dense_stages(net, t))
+    return Pipeline(stage_plan(net, t))

@@ -1,7 +1,7 @@
 """Network definitions: bottleneck conv blocks, the stacked detector
-network, the MLP baseline, whole-network forward passes, parameter /
-multiply-accumulate accounting, and the float64 pipeline that streams a
-network (see pipeline.py).
+network and the MLP baseline; their stage plan (see pipeline.py), which
+the batch forward pass, the receptive field, parameter /
+multiply-accumulate accounting and every streaming engine read.
 
 A block chains three conv layers with channel plan
 c_in -> (K-conv) -> w -> (1x1 expand) -> e*w -> (1x1 project) -> w,
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import Conv1DLayer, apply_activation_array, conv_valid_array
+from .conv import Conv1DLayer, apply_activation_array, conv_valid
 from .errors import ConfigError, NotLinearizableError, ShapeError
 from .pipeline import DenseOperator, Pipeline, PipelineStage
 from .tensor import Tensor2D
@@ -141,11 +141,6 @@ class LiCoNet:
     def n_classes(self) -> int:
         return self.classifier.out_channels
 
-    @property
-    def layers(self) -> tuple:
-        """Every conv layer in order, classifier last."""
-        return tuple(l for blk in self.blocks for l in blk.layers) + (self.classifier,)
-
 
 @dataclass(frozen=True)
 class MlpNet:
@@ -178,10 +173,6 @@ class MlpNet:
     @property
     def n_classes(self) -> int:
         return self.classifier.out_dim
-
-    @property
-    def layers(self) -> tuple:
-        return self.hidden + (self.classifier,)
 
 
 # ---------------------------------------------------------------------------
@@ -255,27 +246,13 @@ def build_mlp(input_frames, input_features, h1, h2, n_classes, seed) -> MlpNet:
 
 
 # ---------------------------------------------------------------------------
-# Layer plan: a flat, engine-neutral view of a network as conv layers in
-# topological order, with residual wiring made explicit. The MLP enters the
-# plan through the inverse of the window-flattening contract
-# x~[c*K + k] = window[c][k], so its dense weights become conv weights
-# W[d][c][k] = Wdense[c*K + k][d].
+# Stage plan: the one description of a network that every consumer reads.
+# Each stage is a dense operator over channel-major windows,
+# x~[c*K + k] = window[c][k], with its geometry and residual wiring. A LiCo
+# conv W (D, C, K) becomes the dense Wd (C*K, D) with Wd[c*K + k][d] =
+# W[d][c][k]; an MLP's dense layers already have that form, the first one
+# over input_frames frames at the chosen stride; a pipeline is its stages.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PlanEntry:
-    name: str
-    layer: Conv1DLayer
-    captures_input: bool = False
-    residual_from: int | None = None
-
-
-def dense_to_conv(layer: LinearLayer, channels: int, kernel: int, stride: int) -> Conv1DLayer:
-    if layer.in_dim != channels * kernel:
-        raise ShapeError(f"dense input {layer.in_dim} != {channels} * {kernel}")
-    w = layer.weights.reshape(channels, kernel, layer.out_dim).transpose(2, 0, 1)
-    return Conv1DLayer(w, layer.bias, stride, layer.activation)
 
 
 def conv_to_dense(layer: Conv1DLayer) -> LinearLayer:
@@ -292,69 +269,79 @@ def conv_to_dense(layer: Conv1DLayer) -> LinearLayer:
     return dense
 
 
-def layer_plan(net, first_stride: int | None = None) -> list:
-    """Flatten a network into PlanEntry items ending with the classifier."""
+def _conv_stage(name, layer: Conv1DLayer, captures_input=False, residual_from=None):
+    return PipelineStage(name, conv_to_dense(layer), layer.in_channels, layer.kernel,
+                         layer.stride, captures_input, residual_from)
+
+
+def stage_plan(net, first_stride: int | None = None) -> list:
+    """The network as pipeline stages in order, classifier last.
+
+    first_stride sets an MLP's first-layer stride (default 1); for a LiCo
+    net or a pipeline it must match the stride the network has. A
+    pipeline's stages are copies, sharing its weights but not its history.
+    """
     if isinstance(net, LiCoNet):
-        if first_stride is not None and first_stride != net.first_stride:
-            raise ConfigError(
-                f"requested stride {first_stride} conflicts with block 1 stride {net.first_stride}"
-            )
-        entries = []
+        stages = []
         for b, blk in enumerate(net.blocks, start=1):
-            conv1_idx = len(entries)
-            entries.append(PlanEntry(f"block{b}.conv1", blk.conv1, captures_input=blk.residual))
-            entries.append(PlanEntry(f"block{b}.conv2", blk.conv2))
-            entries.append(
-                PlanEntry(
-                    f"block{b}.conv3",
-                    blk.conv3,
-                    residual_from=conv1_idx if blk.residual else None,
-                )
-            )
-        entries.append(PlanEntry("classifier", net.classifier))
-        return entries
-    if isinstance(net, MlpNet):
+            source = len(stages) if blk.residual else None
+            stages.append(_conv_stage(f"block{b}.conv1", blk.conv1, blk.residual))
+            stages.append(_conv_stage(f"block{b}.conv2", blk.conv2))
+            stages.append(_conv_stage(f"block{b}.conv3", blk.conv3, residual_from=source))
+        stages.append(_conv_stage("classifier", net.classifier))
+    elif isinstance(net, MlpNet):
         stride = 1 if first_stride is None else first_stride
         if stride < 1:
             raise ConfigError(f"stride must be >= 1, got {stride}")
-        first = dense_to_conv(net.hidden[0], net.input_features, net.input_frames, stride)
-        entries = [PlanEntry("layer1", first)]
-        for i, layer in enumerate(net.hidden[1:], start=2):
-            entries.append(PlanEntry(f"layer{i}", dense_to_conv(layer, layer.in_dim, 1, 1)))
-        entries.append(
-            PlanEntry("classifier", dense_to_conv(net.classifier, net.classifier.in_dim, 1, 1))
+        first, *rest = net.hidden + (net.classifier,)
+        names = [f"layer{i}" for i in range(2, len(net.hidden) + 1)] + ["classifier"]
+        stages = [PipelineStage("layer1", first, net.input_features, net.input_frames, stride)]
+        stages += [PipelineStage(n, l, l.in_dim, 1, 1) for n, l in zip(names, rest)]
+    elif isinstance(net, Pipeline):
+        stages = net.copy().stages
+    else:
+        raise ConfigError(f"unsupported network type {type(net).__name__}")
+    if first_stride is not None and first_stride != stages[0].stride:
+        raise ConfigError(
+            f"requested stride {first_stride} conflicts with first-layer stride {stages[0].stride}"
         )
-        return entries
-    raise ConfigError(f"unsupported network type {type(net).__name__}")
+    return stages
 
 
-def _plan_forward(plan, x: np.ndarray) -> np.ndarray:
+def _plan_forward(stages, x: np.ndarray) -> np.ndarray:
+    """Each stage as a strided valid convolution over the whole input."""
     captured = {}
     z = x
-    for idx, entry in enumerate(plan):
-        if entry.captures_input:
+    for idx, st in enumerate(stages):
+        if st.captures_input:
             captured[idx] = z
-        y = conv_valid_array(z, entry.layer)
-        if entry.residual_from is not None:
-            src = captured[entry.residual_from]
-            off = plan[entry.residual_from].layer.kernel - 1
-            y = y + src[:, off : off + y.shape[1]]
+        op = st.op
+        w = op.weights.reshape(st.channels, st.kernel, op.out_dim).transpose(2, 0, 1)
+        y = conv_valid(z, w, op.bias, st.stride, op.activation)
+        if st.residual_from is not None:
+            off = stages[st.residual_from].kernel - 1
+            y = y + captured[st.residual_from][:, off : off + y.shape[1]]
         z = y
     return z
 
 
-def receptive_field_of(kernels, first_stride: int) -> int:
-    """Receptive field of a chain of convs given every kernel in order.
+def receptive_field_of(stages) -> int:
+    """Input frames one output column of a chain of stages needs.
 
-    Counted on the stride grid: the first layer takes max(K1, s1) frames
-    (a whole stride even when the kernel is shorter), and every later
-    K-conv widens the footprint by (K-1) first-layer windows, each s1
-    frames apart. RF - s1 = max(K1 - s1, 0) + s1 * sum(K - 1) is then
-    never negative: it is the left zero padding under which the
-    streaming form equals batch, and the priming prefix of a stream.
+    Counted on the first-layer stride grid: the first stage takes
+    max(K1, s1) frames (a whole stride even when the kernel is shorter),
+    and stage j widens the footprint by K_j - 1 of its input columns,
+    each s_1 * ... * s_(j-1) frames apart. For a compliant net (every
+    later stride 1), RF - s1 = max(K1 - s1, 0) + s1 * sum(K - 1) is the
+    left zero padding under which the streaming form equals batch, and
+    the priming prefix of a stream.
     """
-    first, *later = kernels
-    return max(first, first_stride) + first_stride * sum(k - 1 for k in later)
+    first, *later = stages
+    rf, spacing = max(first.kernel, first.stride), first.stride
+    for st in later:
+        rf += (st.kernel - 1) * spacing
+        spacing *= st.stride
+    return rf
 
 
 def receptive_field(net, first_stride: int | None = None) -> int:
@@ -363,69 +350,57 @@ def receptive_field(net, first_stride: int | None = None) -> int:
     When K1 < s1 the frames that actually influence a column number
     s1 - K1 fewer: the tail of each first-layer stride is skipped.
     """
-    plan = layer_plan(net, first_stride)
-    return receptive_field_of([e.layer.kernel for e in plan], plan[0].layer.stride)
+    return receptive_field_of(stage_plan(net, first_stride))
 
 
 def network_forward(net, x: Tensor2D, first_stride: int | None = None) -> Tensor2D:
     """Batch forward pass producing per-frame class logits.
 
-    The input must cover at least one receptive field. Output has
-    floor((T - RF) / s1) + 1 columns when K1 >= s1; when K1 < s1 it can
-    have one more tail column, whose frames end before a stream would
-    have stepped over them.
+    The input must cover at least one receptive field. For a compliant
+    net the output has floor((T - RF) / s1) + 1 columns when K1 >= s1;
+    when K1 < s1 it can have one more tail column, whose frames end
+    before a stream would have stepped over them.
     """
-    plan = layer_plan(net, first_stride)
-    if x.channels != plan[0].layer.in_channels:
-        raise ShapeError(
-            f"input has {x.channels} channels, network expects {plan[0].layer.in_channels}"
-        )
-    rf = receptive_field(net, first_stride)
+    stages = stage_plan(net, first_stride)
+    if x.channels != stages[0].channels:
+        raise ShapeError(f"input has {x.channels} channels, network expects {stages[0].channels}")
+    rf = receptive_field_of(stages)
     if x.frames < rf:
         raise ShapeError(f"input has {x.frames} frames, receptive field needs {rf}")
-    return Tensor2D(_plan_forward(plan, x.data))
+    return Tensor2D(_plan_forward(stages, x.data))
 
 
 def count_params(net) -> int:
     """Total weight and bias elements, classifier included."""
-    return sum(l.param_count for l in net.layers)
+    return sum(st.op.param_count for st in stage_plan(net))
 
 
 def bias_count(net) -> int:
-    return sum(l.bias.size for l in net.layers)
+    return sum(st.op.bias.size for st in stage_plan(net))
 
 
 def count_macs_per_step(net) -> int:
     """Multiply-accumulates per inference step (one output column).
 
-    Only meaningful when every layer emits exactly one column per step,
+    Only meaningful when every stage emits exactly one column per step,
     i.e. the network passes the linearization gate; otherwise raises.
     Equals count_params minus the number of bias elements.
     """
-    if isinstance(net, LiCoNet):
-        from .linearize import check_linearizable
+    from .linearize import check_stages
 
-        report = check_linearizable(net, net.first_stride)
-        if not report.compliant:
-            raise NotLinearizableError(report)
-    return sum(l.mac_count for l in net.layers)
-
-
-def dense_stages(net, first_stride: int | None = None) -> list:
-    """One float64 pipeline stage per layer of the plan, classifier last."""
-    return [
-        PipelineStage(e.name, conv_to_dense(e.layer), e.layer.in_channels, e.layer.kernel,
-                      e.layer.stride, e.captures_input, e.residual_from)
-        for e in layer_plan(net, first_stride)
-    ]
+    stages = stage_plan(net)
+    report = check_stages(stages, stages[0].stride)
+    if not report.compliant:
+        raise NotLinearizableError(report)
+    return sum(st.op.mac_count for st in stages)
 
 
 class StreamingNetwork(Pipeline):
-    """A float network streamed as its float64 pipeline; `states` are its
-    stages, each holding the stream's `history`."""
+    """A network streamed as the pipeline of its stage plan; `states` are
+    its stages, each holding the stream's `history`."""
 
     def __init__(self, net, first_stride: int | None = None):
-        super().__init__(dense_stages(net, first_stride))
+        super().__init__(stage_plan(net, first_stride))
 
     @property
     def states(self) -> list:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,15 +32,7 @@ from .errors import (
     VersionError,
 )
 from .frontend import FrontendConfig
-from .model import (
-    LiCoBlock,
-    LiCoNet,
-    LinearLayer,
-    MlpNet,
-    conv_to_dense,
-    receptive_field,
-    receptive_field_of,
-)
+from .model import LiCoBlock, LiCoNet, LinearLayer, MlpNet, receptive_field_of, stage_plan
 from .pipeline import Pipeline, PipelineStage
 from .quantize import QuantizedLinearLayer
 from .tensor import QuantParams
@@ -62,46 +54,37 @@ _FLOAT_KINDS = {LiCoNet: "lico", MlpNet: "mlp"}
 
 @dataclass(frozen=True)
 class Model:
-    """A network bundled with its frontend and decoder configuration."""
+    """A network bundled with its frontend and decoder configuration, and
+    the network's stage plan at the stored stride, built once."""
 
     net: object
     frontend: FrontendConfig
     decoder: DecoderConfig
     first_stride: int
+    stages: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.first_stride, (int, np.integer)) or self.first_stride < 1:
             raise ConfigError(f"first stride must be an integer >= 1, got {self.first_stride!r}")
-        if isinstance(self.net, LiCoNet) and self.net.first_stride != self.first_stride:
-            raise ConfigError(
-                f"stored stride {self.first_stride} != block 1 stride {self.net.first_stride}"
-            )
-        if isinstance(self.net, Pipeline) and self.net.chunk_size != self.first_stride:
-            raise ConfigError("stored stride must equal the pipeline chunk size")
+        object.__setattr__(self, "stages", stage_plan(self.net, self.first_stride))
         n = self.net.n_classes
         if max(self.decoder.keyword_ids) >= n:
             raise ConfigError(f"keyword class ids {self.decoder.keyword_ids} exceed {n} classes")
 
     @property
     def kind(self) -> str:
-        if isinstance(self.net, Pipeline):
-            return _OPERATORS[type(self.net.stages[-1].op)][0]
-        return _FLOAT_KINDS[type(self.net)]
+        kind = _FLOAT_KINDS.get(type(self.net))
+        return kind or _OPERATORS[type(self.stages[-1].op)][0]
 
     @property
     def receptive_field(self) -> int:
-        net = self.net
-        if isinstance(net, Pipeline):
-            return receptive_field_of([s.kernel for s in net.stages], net.chunk_size)
-        return receptive_field(net, self.first_stride)
+        return receptive_field_of(self.stages)
 
 
 def default_model(net, first_stride: int | None = None, threshold: float = 0.5) -> Model:
     """Wrap a bare net with identity-normalization frontend and default decoder."""
     if first_stride is None:
-        first_stride = net.first_stride if isinstance(net, LiCoNet) else getattr(
-            net, "chunk_size", 1
-        )
+        first_stride = stage_plan(net)[0].stride
     n_classes = net.n_classes
     return Model(
         net,
@@ -158,7 +141,7 @@ def _collect(model: Model):
             for i, blk in enumerate(net.blocks, start=1)
             for j, layer in enumerate(blk.layers, start=1)
         ]
-        layers.append(("classifier", conv_to_dense(net.classifier)))
+        layers.append(("classifier", model.stages[-1].op))
     elif isinstance(net, MlpNet):
         arch = {
             "input_frames": net.input_frames,

@@ -113,6 +113,13 @@ class PipelineStage:
         self.blank = self.op.zeros(self.channels, self.history_len)
         self.history = self.blank
 
+    def __copy__(self) -> "PipelineStage":
+        """What copy.copy makes, without its generic reduce protocol: every
+        engine a model builds copies all of its stages."""
+        dup = object.__new__(type(self))
+        dup.__dict__.update(self.__dict__)
+        return dup
+
     def advance(self, cols, residual=None, source=None) -> np.ndarray:
         """Consume input columns; returns one output column per window."""
         h = self.history_len
@@ -174,11 +181,6 @@ class Pipeline:
     @property
     def n_classes(self) -> int:
         return self.stages[-1].op.out_dim
-
-    @property
-    def layers(self) -> list:
-        """The operators of the stages, classifier last."""
-        return [st.op for st in self.stages]
 
     def reset(self):
         for st in self.stages:

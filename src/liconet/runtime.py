@@ -1,10 +1,10 @@
 """End-to-end streaming: WAV in, feature frames, one inference step per
 stride-many frames, softmax, smoothing, sliding-window score, events.
 
-Every engine is a pipeline (see pipeline.py) with fresh stream state:
-`conv` and `linear` run a float model as its float64 pipeline (`linear`
-through the linearization gate), `linear` also runs a linearized file,
-and `int8` runs a quantized file. A stream primes on the first receptive_field - stride
+Every engine is the pipeline (see pipeline.py) of the model's stage plan
+with fresh stream state: `conv` runs a float model, `linear` a float or
+linearized one and `int8` a quantized one; a float model must pass the
+linearization gate. A stream primes on the first receptive_field - stride
 feature frames (never negative, and on the stride grid, so the first
 emitted posterior has a fully real context and step k equals batch
 column k), then steps once per chunk. A stream of F frames therefore
@@ -19,13 +19,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoder import DetectionEvent, KeywordDecoder, PosteriorFrame, posterior_from_logits
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, InvalidInputError, NotLinearizableError
 from .frontend import FeatureStream
-from .linearize import linearize_network
-from .model import StreamingNetwork
+from .linearize import check_stages
 from .modelfile import Model
+from .pipeline import Pipeline
 
-ENGINES = ("conv", "linear", "int8")
+# The model kinds each engine runs, and how to name them in an error.
+_ENGINE_KINDS = {
+    "conv": (("lico", "mlp"), "a float model"),
+    "linear": (("lico", "mlp", "linearized"), "a float or linearized model"),
+    "int8": (("quantized",), "a quantized model"),
+}
+ENGINES = tuple(_ENGINE_KINDS)
 
 
 def read_wav(path, expected_rate: int = 16000) -> np.ndarray:
@@ -57,25 +63,19 @@ def write_wav(path, samples: np.ndarray, rate: int = 16000) -> None:
         w.writeframes(arr.astype("<i2").tobytes())
 
 
-def make_engine(model: Model, engine: str):
+def make_engine(model: Model, engine: str) -> Pipeline:
     """Instantiate the requested execution engine with fresh state."""
     if engine not in ENGINES:
         raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
-    kind = model.kind
-    if kind in ("lico", "mlp") and engine == "conv":
-        return StreamingNetwork(model.net, model.first_stride)
-    if kind in ("lico", "mlp") and engine == "linear":
-        return linearize_network(model.net, model.first_stride)
-    if (engine, kind) in (("linear", "linearized"), ("int8", "quantized")):
-        dup = model.net.copy()
-        dup.reset()
-        return dup
-    needs = {
-        "conv": "needs a float model, file holds",
-        "linear": "needs a float or linearized model, not",
-        "int8": "needs a quantized model, file holds",
-    }
-    raise ConfigError(f"{engine} engine {needs[engine]} {kind!r}")
+    kinds, needs = _ENGINE_KINDS[engine]
+    if model.kind not in kinds:
+        raise ConfigError(f"{engine} engine needs {needs}, file holds {model.kind!r}")
+    report = check_stages(model.stages, model.first_stride)
+    if not report.compliant:
+        raise NotLinearizableError(report)
+    eng = Pipeline(model.stages).copy()
+    eng.reset()
+    return eng
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ the MLP baseline."""
 import numpy as np
 import pytest
 
-from liconet.conv import Conv1DLayer
+from liconet.conv import Conv1DLayer, conv1d_forward
 from liconet.errors import ConfigError, NotLinearizableError, ShapeError
 from liconet.model import (
     LiCoBlock,
@@ -277,3 +277,29 @@ class TestStreamingNetwork:
         a.reset()
         assert not any(st.history.any() for st in a.states)
         assert any(st.history.any() for st in b.states)
+
+
+def _conv_chain(net, x):
+    """Every conv layer of a LiCo net in order, residuals left out: they
+    change no column counts."""
+    for layer in [l for blk in net.blocks for l in blk.layers] + [net.classifier]:
+        x = conv1d_forward(Tensor2D(x), layer).data
+    return x
+
+
+def test_receptive_field_matches_brute_force_with_later_strides():
+    rng = np.random.default_rng(23)
+    for _ in range(12):
+        c, w, k = (int(v) for v in rng.integers(2, 6, size=3))
+        s1 = int(rng.integers(1, k + 1))  # K1 >= s1: every frame of the field is read
+        strides = [int(v) for v in rng.integers(1, 4, size=int(rng.integers(1, 4)))]
+        strides[int(rng.integers(len(strides)))] = int(rng.integers(2, 4))
+        net = build_lico_net(c, 1, w, 2, k, s1, 3, seed=int(rng.integers(1 << 30)))
+        blocks = net.blocks + tuple(
+            build_lico_block(w, w, 2, int(rng.integers(2, 5)), s, int(rng.integers(1 << 30)))
+            for s in strides
+        )
+        net = LiCoNet(c, blocks, net.classifier)
+        rf = receptive_field(net)
+        assert rf == smallest_valid_input(lambda a: _conv_chain(net, a), c)
+        assert network_forward(net, Tensor2D(np.zeros((c, rf)))).data.shape[1] == 1

@@ -185,3 +185,22 @@ def test_int8_residual_golden():
     assert _digest(_int8_logits(model, primed=False)) == (
         "2f9ce7953ee03555f656f840fa4c7f4b868844cfdc0e08bb1a11d9fc19256f7e"
     )
+
+
+@pytest.mark.parametrize(
+    "kind, engine",
+    [("lico", "conv"), ("mlp", "linear"), ("linearized", "linear"), ("quantized", "int8")],
+)
+def test_engines_of_one_model_step_independently(kind, engine):
+    model = _models()[kind]
+    t = model.first_stride
+    rng = np.random.default_rng(6)
+    xa, xb = rng.normal(size=(2, 3, 10 * t))
+    a, b = make_engine(model, engine), make_engine(model, engine)
+    out_a, out_b = [], []
+    for j in range(0, 10 * t, t):
+        out_a.append(a.step_array(xa[:, j : j + t]))
+        out_b.append(b.step_array(xb[:, j : j + t]))
+    for out, x in ((out_a, xa), (out_b, xb)):
+        alone = _step_all(make_engine(model, engine), x, t)
+        np.testing.assert_array_equal(np.concatenate(out, axis=1), alone)
