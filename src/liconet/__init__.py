@@ -17,9 +17,7 @@ from .decoder import (
     DetectionEvent,
     KeywordDecoder,
     PosteriorFrame,
-    detection_score,
     posterior_from_logits,
-    smooth_posteriors,
     softmax,
 )
 from .errors import (

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -137,9 +139,12 @@ def _cmd_verify(args) -> int:
     stream = np.random.default_rng(args.seed).normal(0.0, 1.0, size=size)
     held_out = np.random.default_rng([args.seed, 1]).normal(0.0, 1.0, size=size)
 
-    # Two engines of one model step independently of each other.
+    # The linearized pipeline is stepped as `linearize` writes it and `run` reads it.
     conv_out = _step_through(make_engine(model, "conv"), stream, t)
-    lin_eng = make_engine(model, "linear")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "linear.lcn"
+        save_model(Model(linearize_network(net, t), model.frontend, model.decoder, t), path)
+        lin_eng = make_engine(load_model(path), "linear")
     lin_out = _step_through(lin_eng, stream, t)
 
     pad = model.receptive_field - t

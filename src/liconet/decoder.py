@@ -1,4 +1,5 @@
-"""Posterior smoothing and sliding-window keyword scoring.
+"""Posterior smoothing and sliding-window keyword scoring (Chen, Parada &
+Heigold 2014, "Small-footprint keyword spotting using deep neural networks").
 
 The detection score over a window of smoothed posteriors is the geometric
 mean of each keyword class's maximum within the window, clamped to [0, 1].
@@ -8,7 +9,6 @@ one full window (refractory period).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,56 +101,45 @@ class DecoderConfig:
         )
 
 
-def smooth_posteriors(history, new: PosteriorFrame, length: int) -> PosteriorFrame:
-    """Per-class mean over the last min(length, available) frames,
-    the new frame included."""
-    if length < 1:
-        raise ConfigError(f"smoothing length must be >= 1, got {length}")
-    recent = list(history)[-(length - 1) :] if length > 1 else []
-    stack = np.stack([f.probs for f in recent] + [new.probs])
-    return PosteriorFrame(new.timestamp, stack.mean(axis=0))
-
-
-def detection_score(window, cfg: DecoderConfig) -> float:
-    """Geometric mean of per-keyword maxima over smoothed frames."""
-    frames = list(window)
-    if not frames:
-        raise InvalidInputError("detection window must be non-empty")
-    probs = np.stack([f.probs for f in frames])  # (n_frames, n_classes)
-    maxima = probs[:, list(cfg.keyword_ids)].max(axis=0)
-    if np.any(maxima <= 0.0):
-        return 0.0
-    score = float(np.exp(np.log(maxima).mean()))
-    return min(max(score, 0.0), 1.0)
-
-
 class KeywordDecoder:
-    """Stateful smoothing + scoring + event emission over a posterior stream."""
+    """Stateful smoothing + scoring + event emission over a posterior stream.
+
+    The state is two rings, zeroed at the first frame and written one row
+    per step: raw posteriors (smooth_steps rows) and smoothed keyword
+    probabilities (window_steps rows). A zero row changes neither a sum of
+    probabilities nor their maximum, so neither ring tracks how full it is.
+    """
 
     def __init__(self, cfg: DecoderConfig):
         self.cfg = cfg
-        self._raw = deque(maxlen=cfg.smooth_steps - 1)
-        self._smoothed = deque(maxlen=cfg.window_steps)
-        self._prev_score = 0.0
-        self._refractory = 0
+        self._keywords = list(cfg.keyword_ids)
+        self.reset()
 
     def reset(self):
-        self._raw.clear()
-        self._smoothed.clear()
+        """Forget every frame: the next update starts from zeroed rings."""
+        self._steps = 0
         self._prev_score = 0.0
         self._refractory = 0
 
     def update(self, frame: PosteriorFrame):
         """Returns (smoothed frame, window score, event or None)."""
-        smoothed = smooth_posteriors(self._raw, frame, self.cfg.smooth_steps)
-        self._raw.append(frame)
-        self._smoothed.append(smoothed)
-        score = detection_score(self._smoothed, self.cfg)
+        cfg = self.cfg
+        if self._steps == 0:
+            self._raw = np.zeros((cfg.smooth_steps, frame.probs.size))
+            self._window = np.zeros((cfg.window_steps, len(self._keywords)))
+        self._raw[self._steps % cfg.smooth_steps] = frame.probs
+        mean = self._raw.sum(axis=0) / min(self._steps + 1, cfg.smooth_steps)
+        smoothed = PosteriorFrame(frame.timestamp, mean)
+        self._window[self._steps % cfg.window_steps] = smoothed.probs[self._keywords]
+        self._steps += 1
+        maxima = self._window.max(axis=0)
+        score = 0.0 if np.any(maxima <= 0.0) else float(np.exp(np.log(maxima).mean()))
+        score = min(max(score, 0.0), 1.0)
         event = None
         if self._refractory > 0:
             self._refractory -= 1
-        elif self._prev_score < self.cfg.threshold <= score:
+        elif self._prev_score < cfg.threshold <= score:
             event = DetectionEvent(frame.timestamp, score)
-            self._refractory = self.cfg.window_steps
+            self._refractory = cfg.window_steps
         self._prev_score = score
         return smoothed, score, event

@@ -4,6 +4,8 @@ Everything here is written with plain loops, deliberately sharing no code
 with the package's vectorized paths.
 """
 
+import math
+
 import numpy as np
 
 
@@ -74,3 +76,30 @@ def smallest_valid_input(forward, channels, upper=400):
         if out.shape[1] >= 1:
             return t
     raise AssertionError(f"no valid input length up to {upper}")
+
+
+def decode_loops(probs, window, smooth, keyword_ids, threshold):
+    """Smoothing, window score and events over a list of probability
+    vectors, one list per step: (smoothed, score, event score or None)."""
+    smoothed_all, out = [], []
+    prev_score, refractory = 0.0, 0
+    for n in range(len(probs)):
+        recent = probs[max(0, n - smooth + 1) : n + 1]
+        smoothed = [sum(f[c] for f in recent) / len(recent) for c in range(len(probs[n]))]
+        smoothed_all.append(smoothed)
+        in_window = smoothed_all[max(0, n - window + 1) : n + 1]
+        maxima = [max(f[k] for f in in_window) for k in keyword_ids]
+        if min(maxima) <= 0.0:
+            score = 0.0
+        else:
+            score = math.exp(sum(math.log(m) for m in maxima) / len(maxima))
+            score = min(max(score, 0.0), 1.0)
+        event = None
+        if refractory > 0:
+            refractory -= 1
+        elif prev_score < threshold <= score:
+            event = score
+            refractory = window
+        prev_score = score
+        out.append((smoothed, score, event))
+    return out

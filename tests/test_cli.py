@@ -103,3 +103,28 @@ def test_info_on_a_non_linearizable_float_model(tmp_path, capsys):
     assert lines[2] == "receptive field 9 frames"
     assert len(lines) == 4 + 10
     assert lines[7].split()[:3] == ["block2.conv1", "8x8x3", "2"]
+
+
+def test_verify_steps_the_saved_linearized_pipeline(tmp_path, capsys, monkeypatch):
+    """A linearized pipeline whose classifier bias drifts by 1e-3 on its
+    way to the file must fail the "linearized vs streaming" line."""
+    from liconet import cli
+    from liconet.linearize import linearize_network
+    from liconet.model import LinearLayer
+
+    def drifting_linearize(net, t):
+        lnet = linearize_network(net, t)
+        last = lnet.stages[-1]
+        last.op = LinearLayer(last.op.weights, last.op.bias + 1e-3, last.op.activation)
+        return lnet
+
+    path = str(tmp_path / "model.lcn")
+    assert cli_main(["init", "--arch", "lico", "--preset", "small",
+                     "--stride", "3", "--out", path]) == 0
+    monkeypatch.setattr(cli, "linearize_network", drifting_linearize)
+    capsys.readouterr()
+    assert cli_main(["verify", path, "--steps", "20"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith(" ok") and lines[0].startswith("streaming vs batch")
+    assert lines[1].startswith("linearized vs streaming: max deviation 1.000e-03")
+    assert lines[1].endswith(" FAIL")

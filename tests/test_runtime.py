@@ -1,13 +1,16 @@
 """Streaming runtime tests: run_stream on float and linearized model files
-against the batch network on the same feature frames."""
+against the batch network on the same feature frames, and against itself
+on the same PCM split at random points."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liconet.cli import main as cli_main
 from liconet.decoder import softmax
 from liconet.frontend import FeatureStream
-from liconet.model import build_lico_net, network_forward
+from liconet.model import build_lico_net, build_mlp, network_forward
 from liconet.modelfile import default_model, load_model, save_model
 from liconet.runtime import run_stream
 from liconet.tensor import Tensor2D
@@ -60,3 +63,35 @@ def test_short_first_kernel_stream_matches_batch(model_files, which, chunk_sampl
     assert batch.shape[1] >= len(results)
     for k, res in enumerate(results):
         np.testing.assert_allclose(res.posterior.probs, softmax(batch[:, k]), rtol=0, atol=1e-12)
+
+
+# A LiCo net stepping every 3 frames and an MLP stepping every frame.
+SPLIT_MODELS = {
+    "lico-s3": default_model(build_lico_net(40, 2, 8, 2, 3, 3, 5, seed=2), first_stride=3),
+    "mlp-s1": default_model(build_mlp(5, 40, 16, 32, 4, seed=2), first_stride=1),
+}
+SPLIT_PCM = np.random.default_rng(5).normal(0.0, 0.2, size=12000)
+
+
+def _results(model, chunks):
+    """Every field of each StepResult, probabilities as raw bytes; the low
+    threshold makes events fire."""
+    return [
+        (r.step, r.time_s, r.posterior.timestamp, r.posterior.probs.tobytes(),
+         r.smoothed.timestamp, r.smoothed.probs.tobytes(), r.score, r.event)
+        for r in run_stream(model, chunks, engine="linear", threshold=0.05)
+    ]
+
+
+WHOLE_RESULTS = {name: _results(m, [SPLIT_PCM]) for name, m in SPLIT_MODELS.items()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SPLIT_MODELS)),
+    cuts=st.lists(st.integers(0, SPLIT_PCM.size), max_size=8),
+)
+def test_step_results_do_not_depend_on_how_the_pcm_is_split(name, cuts):
+    whole = WHOLE_RESULTS[name]
+    assert any(event is not None for *_, event in whole)
+    assert _results(SPLIT_MODELS[name], np.split(SPLIT_PCM, sorted(cuts))) == whole
