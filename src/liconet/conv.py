@@ -5,10 +5,12 @@ The batch form computes, for weights of shape (D, C, K) and stride s,
     Y[d, i] = sum_c sum_k W[d, c, k] * X[c, s*i + k] + bias[d]
 
 over i = 0 .. floor((T-K)/s), followed by the layer activation. The
-streaming form consumes fixed-size chunks of t frames (t a multiple of s)
-and keeps the most recent max(K-s, 0) input columns as internal state, so
-the concatenated chunk outputs reproduce the batch output on the input
-left-padded with max(K-s, 0) zero columns.
+streaming form is a one-stage pipeline (see pipeline.py): the layer as a
+dense operator over channel-major windows, stepped over fixed-size chunks
+of t frames (t a multiple of s) with a StreamState holding the most
+recent max(K-s, 0) input columns, so the concatenated chunk outputs
+reproduce the batch output on the input left-padded with max(K-s, 0)
+zero columns.
 """
 
 from __future__ import annotations
@@ -19,17 +21,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ShapeError
+from .pipeline import ACTIVATIONS, LinearLayer, PipelineStage, StreamState
+from .pipeline import apply_activation_array
 from .tensor import Tensor2D
-
-ACTIVATIONS = ("none", "relu")
-
-
-def apply_activation_array(arr: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "none":
-        return arr
-    if kind == "relu":
-        return np.maximum(arr, 0.0)
-    raise ConfigError(f"unknown activation {kind!r}")
 
 
 def apply_activation(x: Tensor2D, kind: str) -> Tensor2D:
@@ -79,10 +73,26 @@ class Conv1DLayer:
     def kernel(self) -> int:
         return self.weights.shape[2]
 
-    @property
-    def history_len(self) -> int:
-        """Columns of input state carried between streaming chunks."""
-        return max(self.kernel - self.stride, 0)
+
+def conv_to_dense(layer: Conv1DLayer) -> LinearLayer:
+    """Reshape conv weights (D, C, K) to a dense (C*K, D) operator,
+    Wd[c*K + k][d] = W[d][c][k].
+
+    The conv layer has already checked everything LinearLayer would, so
+    the reshaped weights are not checked again.
+    """
+    w = layer.weights.transpose(1, 2, 0).reshape(layer.in_channels * layer.kernel, -1)
+    w.setflags(write=False)
+    dense = object.__new__(LinearLayer)
+    for name, value in (("weights", w), ("bias", layer.bias), ("activation", layer.activation)):
+        object.__setattr__(dense, name, value)
+    return dense
+
+
+def conv_stage(name: str, layer: Conv1DLayer, captures_input=False, residual_from=None):
+    """The layer as one pipeline stage."""
+    return PipelineStage(name, conv_to_dense(layer), layer.in_channels, layer.kernel,
+                         layer.stride, captures_input, residual_from)
 
 
 def conv_valid(x: np.ndarray, weights: np.ndarray, bias, stride: int, activation: str):
@@ -98,21 +108,9 @@ def conv_valid(x: np.ndarray, weights: np.ndarray, bias, stride: int, activation
     return apply_activation_array(out, activation)
 
 
-def conv_valid_array(x: np.ndarray, layer: Conv1DLayer) -> np.ndarray:
-    return conv_valid(x, layer.weights, layer.bias, layer.stride, layer.activation)
-
-
 def conv1d_forward(x: Tensor2D, layer: Conv1DLayer) -> Tensor2D:
     """Non-streaming convolution; output shape (D, floor((T-K)/s) + 1)."""
-    return Tensor2D(conv_valid_array(x.data, layer))
-
-
-@dataclass
-class StreamState:
-    """Mutable per-stream history of the most recent max(K-s, 0) input columns."""
-
-    history: np.ndarray
-    chunk_size: int
+    return Tensor2D(conv_valid(x.data, layer.weights, layer.bias, layer.stride, layer.activation))
 
 
 def stream_state_init(layer: Conv1DLayer, t: int) -> StreamState:
@@ -123,14 +121,14 @@ def stream_state_init(layer: Conv1DLayer, t: int) -> StreamState:
     """
     if t < 1 or t % layer.stride != 0:
         raise ConfigError(f"chunk size {t} is not a positive multiple of stride {layer.stride}")
-    return StreamState(np.zeros((layer.in_channels, layer.history_len)), t)
+    return conv_stage("conv", layer).fresh_state(t)
 
 
 def stream_step(layer: Conv1DLayer, state: StreamState, chunk: Tensor2D) -> Tensor2D:
-    """Convolve [history || chunk] and roll the history forward.
+    """Advance the layer's stage over one chunk; t/s output columns.
 
-    Output has t/s columns; the updated history holds the trailing
-    max(K-s, 0) columns of the concatenation, ready for the next chunk.
+    The updated history holds the trailing max(K-s, 0) columns of
+    [history || chunk], ready for the next chunk.
     """
     if chunk.channels != layer.in_channels:
         raise ShapeError(
@@ -138,8 +136,4 @@ def stream_step(layer: Conv1DLayer, state: StreamState, chunk: Tensor2D) -> Tens
         )
     if chunk.frames != state.chunk_size:
         raise ShapeError(f"chunk has {chunk.frames} frames, state expects {state.chunk_size}")
-    buf = np.concatenate([state.history, chunk.data], axis=1)
-    out = conv_valid_array(buf, layer)
-    h = layer.history_len
-    state.history = buf[:, buf.shape[1] - h :].copy() if h else buf[:, :0].copy()
-    return Tensor2D(out)
+    return Tensor2D(conv_stage("conv", layer).advance(state, chunk.data))

@@ -27,8 +27,8 @@ class PosteriorFrame:
         p = np.ascontiguousarray(np.asarray(self.probs, dtype=np.float64))
         if p.ndim != 1 or p.size < 1:
             raise InvalidInputError(f"probs must be a 1D vector, got shape {p.shape}")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-6:
-            raise InvalidInputError("probs must be non-negative and sum to 1")
+        if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-6):  # false for NaN and inf
+            raise InvalidInputError("probs must be finite, non-negative and sum to 1")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 

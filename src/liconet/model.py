@@ -16,31 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import Conv1DLayer, apply_activation_array, conv_valid
+from .conv import Conv1DLayer, conv_stage, conv_valid
 from .errors import ConfigError, NotLinearizableError, ShapeError
-from .pipeline import DenseOperator, Pipeline, PipelineStage
+from .pipeline import LinearLayer, Pipeline, PipelineStage
 from .tensor import Tensor2D
-
-
-@dataclass(frozen=True)
-class LinearLayer(DenseOperator):
-    """Dense layer with weights of shape (in_dim, out_dim) and bias (out_dim,)."""
-
-    weights: np.ndarray
-    bias: np.ndarray
-    activation: str = "none"
-
-    def __post_init__(self):
-        w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
-        b = np.ascontiguousarray(np.asarray(self.bias, dtype=np.float64))
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise ShapeError("weights and bias must be finite")
-        self._store(w, b)
-
-    def forward(self, windows, residual=None, source=None) -> np.ndarray:
-        """Float columns carry no scale, so source is unused."""
-        out = apply_activation_array(windows @ self.weights + self.bias, self.activation).T
-        return out if residual is None else out + residual
 
 
 @dataclass(frozen=True)
@@ -249,29 +228,10 @@ def build_mlp(input_frames, input_features, h1, h2, n_classes, seed) -> MlpNet:
 # Stage plan: the one description of a network that every consumer reads.
 # Each stage is a dense operator over channel-major windows,
 # x~[c*K + k] = window[c][k], with its geometry and residual wiring. A LiCo
-# conv W (D, C, K) becomes the dense Wd (C*K, D) with Wd[c*K + k][d] =
-# W[d][c][k]; an MLP's dense layers already have that form, the first one
-# over input_frames frames at the chosen stride; a pipeline is its stages.
+# conv becomes its dense form (conv.conv_stage); an MLP's dense layers
+# already have that form, the first one over input_frames frames at the
+# chosen stride; a pipeline is its stages.
 # ---------------------------------------------------------------------------
-
-
-def conv_to_dense(layer: Conv1DLayer) -> LinearLayer:
-    """Reshape conv weights (D, C, K) to a dense (C*K, D) operator.
-
-    The conv layer has already checked everything LinearLayer would, so
-    the reshaped weights are not checked again.
-    """
-    w = layer.weights.transpose(1, 2, 0).reshape(layer.in_channels * layer.kernel, -1)
-    w.setflags(write=False)
-    dense = object.__new__(LinearLayer)
-    for name, value in (("weights", w), ("bias", layer.bias), ("activation", layer.activation)):
-        object.__setattr__(dense, name, value)
-    return dense
-
-
-def _conv_stage(name, layer: Conv1DLayer, captures_input=False, residual_from=None):
-    return PipelineStage(name, conv_to_dense(layer), layer.in_channels, layer.kernel,
-                         layer.stride, captures_input, residual_from)
 
 
 def stage_plan(net, first_stride: int | None = None) -> list:
@@ -279,16 +239,16 @@ def stage_plan(net, first_stride: int | None = None) -> list:
 
     first_stride sets an MLP's first-layer stride (default 1); for a LiCo
     net or a pipeline it must match the stride the network has. A
-    pipeline's stages are copies, sharing its weights but not its history.
+    pipeline's stages are returned as they are: they hold no stream state.
     """
     if isinstance(net, LiCoNet):
         stages = []
         for b, blk in enumerate(net.blocks, start=1):
             source = len(stages) if blk.residual else None
-            stages.append(_conv_stage(f"block{b}.conv1", blk.conv1, blk.residual))
-            stages.append(_conv_stage(f"block{b}.conv2", blk.conv2))
-            stages.append(_conv_stage(f"block{b}.conv3", blk.conv3, residual_from=source))
-        stages.append(_conv_stage("classifier", net.classifier))
+            stages.append(conv_stage(f"block{b}.conv1", blk.conv1, blk.residual))
+            stages.append(conv_stage(f"block{b}.conv2", blk.conv2))
+            stages.append(conv_stage(f"block{b}.conv3", blk.conv3, residual_from=source))
+        stages.append(conv_stage("classifier", net.classifier))
     elif isinstance(net, MlpNet):
         stride = 1 if first_stride is None else first_stride
         if stride < 1:
@@ -298,7 +258,7 @@ def stage_plan(net, first_stride: int | None = None) -> list:
         stages = [PipelineStage("layer1", first, net.input_features, net.input_frames, stride)]
         stages += [PipelineStage(n, l, l.in_dim, 1, 1) for n, l in zip(names, rest)]
     elif isinstance(net, Pipeline):
-        stages = net.copy().stages
+        stages = net.stages
     else:
         raise ConfigError(f"unsupported network type {type(net).__name__}")
     if first_stride is not None and first_stride != stages[0].stride:
@@ -311,18 +271,16 @@ def stage_plan(net, first_stride: int | None = None) -> list:
 def _plan_forward(stages, x: np.ndarray) -> np.ndarray:
     """Each stage as a strided valid convolution over the whole input."""
     captured = {}
-    z = x
     for idx, st in enumerate(stages):
         if st.captures_input:
-            captured[idx] = z
+            captured[idx] = x
         op = st.op
         w = op.weights.reshape(st.channels, st.kernel, op.out_dim).transpose(2, 0, 1)
-        y = conv_valid(z, w, op.bias, st.stride, op.activation)
+        x = conv_valid(x, w, op.bias, st.stride, op.activation)
         if st.residual_from is not None:
             off = stages[st.residual_from].kernel - 1
-            y = y + captured[st.residual_from][:, off : off + y.shape[1]]
-        z = y
-    return z
+            x = x + captured[st.residual_from][:, off : off + x.shape[1]]
+    return x
 
 
 def receptive_field_of(stages) -> int:
@@ -356,10 +314,10 @@ def receptive_field(net, first_stride: int | None = None) -> int:
 def network_forward(net, x: Tensor2D, first_stride: int | None = None) -> Tensor2D:
     """Batch forward pass producing per-frame class logits.
 
-    The input must cover at least one receptive field. For a compliant
-    net the output has floor((T - RF) / s1) + 1 columns when K1 >= s1;
-    when K1 < s1 it can have one more tail column, whose frames end
-    before a stream would have stepped over them.
+    The input must cover at least one receptive field. Frames after the
+    last whole first-layer stride are left out, as a stream leaves them
+    unstepped, so a compliant net gives floor((T - RF) / s1) + 1 columns,
+    one per step, also when K1 < s1.
     """
     stages = stage_plan(net, first_stride)
     if x.channels != stages[0].channels:
@@ -367,7 +325,8 @@ def network_forward(net, x: Tensor2D, first_stride: int | None = None) -> Tensor
     rf = receptive_field_of(stages)
     if x.frames < rf:
         raise ShapeError(f"input has {x.frames} frames, receptive field needs {rf}")
-    return Tensor2D(_plan_forward(stages, x.data))
+    stepped = x.frames - (x.frames - rf) % stages[0].stride
+    return Tensor2D(_plan_forward(stages, x.data[:, :stepped]))
 
 
 def count_params(net) -> int:
@@ -396,12 +355,7 @@ def count_macs_per_step(net) -> int:
 
 
 class StreamingNetwork(Pipeline):
-    """A network streamed as the pipeline of its stage plan; `states` are
-    its stages, each holding the stream's `history`."""
+    """A network streamed as the pipeline of its stage plan."""
 
     def __init__(self, net, first_stride: int | None = None):
         super().__init__(stage_plan(net, first_stride))
-
-    @property
-    def states(self) -> list:
-        return self.stages

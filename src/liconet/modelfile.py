@@ -17,6 +17,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -32,8 +33,8 @@ from .errors import (
     VersionError,
 )
 from .frontend import FrontendConfig
-from .model import LiCoBlock, LiCoNet, LinearLayer, MlpNet, receptive_field_of, stage_plan
-from .pipeline import Pipeline, PipelineStage
+from .model import LiCoBlock, LiCoNet, MlpNet, receptive_field_of, stage_plan
+from .pipeline import LinearLayer, Pipeline, PipelineStage
 from .quantize import QuantizedLinearLayer
 from .tensor import QuantParams
 
@@ -50,6 +51,9 @@ _OPERATORS = {
 }
 _PIPELINE_KINDS = {kind: op for op, (kind, *_) in _OPERATORS.items()}
 _FLOAT_KINDS = {LiCoNet: "lico", MlpNet: "mlp"}
+# The configuration a manifest stores; the normalization vectors are tensors.
+_FRONTEND_FIELDS = ("sample_rate", "window_ms", "hop_ms", "n_mels", "fmin", "fmax", "log_floor")
+_DECODER_FIELDS = ("window_steps", "smooth_steps", "keyword_ids", "threshold")
 
 
 @dataclass(frozen=True)
@@ -193,21 +197,8 @@ def _collect(model: Model):
         "kind": model.kind,
         "first_stride": model.first_stride,
         "arch": arch,
-        "frontend": {
-            "sample_rate": fe.sample_rate,
-            "window_ms": fe.window_ms,
-            "hop_ms": fe.hop_ms,
-            "n_mels": fe.n_mels,
-            "fmin": fe.fmin,
-            "fmax": fe.fmax,
-            "log_floor": fe.log_floor,
-        },
-        "decoder": {
-            "window_steps": model.decoder.window_steps,
-            "smooth_steps": model.decoder.smooth_steps,
-            "keyword_ids": list(model.decoder.keyword_ids),
-            "threshold": model.decoder.threshold,
-        },
+        "frontend": {f: getattr(fe, f) for f in _FRONTEND_FIELDS},
+        "decoder": {f: getattr(model.decoder, f) for f in _DECODER_FIELDS},
     }
     return manifest, tensors
 
@@ -235,15 +226,13 @@ def _read_tensors(manifest, blob):
     offset = 0
     out = {}
     for entry in manifest["tensors"]:
-        name, dtype, shape, byte_len = (
-            entry["name"],
-            entry["dtype"],
-            tuple(entry["shape"]),
-            entry["byte_len"],
-        )
+        name, dtype, byte_len = entry["name"], entry["dtype"], entry["byte_len"]
+        shape = tuple(entry["shape"])
         if dtype not in _DTYPES:
             raise ManifestError(f"tensor {name}: unknown dtype {dtype!r}")
-        expected = int(np.prod(shape, dtype=np.int64)) * _DTYPES[dtype].itemsize
+        if not all(type(n) is int and n >= 0 for n in shape):  # bools are not sizes
+            raise ManifestError(f"tensor {name}: shape {shape} is not of non-negative integers")
+        expected = math.prod(shape) * _DTYPES[dtype].itemsize
         if byte_len != expected:
             raise ManifestError(
                 f"tensor {name}: shape {shape} implies {expected} bytes, manifest says {byte_len}"
@@ -346,23 +335,11 @@ def load_model(path) -> Model:
         net = _rebuild_net(manifest, tensors)
         fe = manifest["frontend"]
         frontend = FrontendConfig(
-            sample_rate=fe["sample_rate"],
-            window_ms=fe["window_ms"],
-            hop_ms=fe["hop_ms"],
-            n_mels=fe["n_mels"],
-            fmin=fe["fmin"],
-            fmax=fe["fmax"],
-            log_floor=fe["log_floor"],
+            **{f: fe[f] for f in _FRONTEND_FIELDS},
             norm_mean=tensors["frontend.norm_mean"],
             norm_std=tensors["frontend.norm_std"],
         )
-        de = manifest["decoder"]
-        decoder = DecoderConfig(
-            window_steps=de["window_steps"],
-            smooth_steps=de["smooth_steps"],
-            keyword_ids=tuple(de["keyword_ids"]),
-            threshold=de["threshold"],
-        )
+        decoder = DecoderConfig(**{f: manifest["decoder"][f] for f in _DECODER_FIELDS})
         return Model(net, frontend, decoder, manifest["first_stride"])
     except KeyError as exc:
         raise ManifestError(f"manifest missing field {exc}") from exc

@@ -1,31 +1,47 @@
-"""One streaming pipeline for every engine: a chain of stages, each a
-dense operator fed by a history of its newest input columns.
+"""One streaming pipeline for every engine: a plan of stages, each a
+dense operator over windows of its input columns, and one StreamState per
+stage for the stream that runs through it.
+
+Stages hold only a name, an operator, geometry and residual wiring, so
+every engine of a model shares them. A StreamState holds the newest
+max(K - s, 0) input columns its stage has seen; `reset` makes fresh ones
+and `copy` copies only them. Histories are replaced, never written in
+place, so copies may share them.
 
 Windows flatten channel-major, x~[c*K + k] = window[c][k]. A stage
-advances over new input columns by appending them to its history,
-handing every (C, K) window at its stride to its operator as one
-(n, C*K) matrix, and keeping the newest max(K - s, 0) columns as the
-next history. A step feeds one first-layer stride of frames and emits
-one column per stage. Priming takes each stage's history from the head
-of that stage's input and advances over the rest, so a following step
-picks up exactly where a batch pass over the prefix would. Calibration
-reads each stage's output from the same loop.
+advances a state over new input columns by appending them to its history,
+handing every (C, K) window at its stride to its operator as one (n, C*K)
+matrix, and keeping the newest columns as the next history. A step feeds
+one first-layer stride of frames and emits one column per stage. Priming
+takes each stage's history from the head of that stage's input and
+advances over the rest, so a following step picks up exactly where a
+batch pass over the prefix would. Calibration reads each stage's output
+from the same loop.
 
-An operator (a DenseOperator) supplies the arithmetic: `model.LinearLayer`
-in float64 and `quantize.QuantizedLinearLayer` in int8.
+An operator (a DenseOperator) supplies the arithmetic: `LinearLayer` in
+float64 and `quantize.QuantizedLinearLayer` in int8.
 """
 
 from __future__ import annotations
 
 import copy
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .conv import ACTIVATIONS
 from .errors import ConfigError, ShapeError
+
+ACTIVATIONS = ("none", "relu")
+
+
+def apply_activation_array(arr: np.ndarray, kind: str) -> np.ndarray:
+    if kind == "none":
+        return arr
+    if kind == "relu":
+        return np.maximum(arr, 0.0)
+    raise ConfigError(f"unknown activation {kind!r}")
 
 
 class DenseOperator:
@@ -74,6 +90,27 @@ class DenseOperator:
         return y
 
 
+@dataclass(frozen=True)
+class LinearLayer(DenseOperator):
+    """Dense layer with weights of shape (in_dim, out_dim) and bias (out_dim,)."""
+
+    weights: np.ndarray
+    bias: np.ndarray
+    activation: str = "none"
+
+    def __post_init__(self):
+        w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
+        b = np.ascontiguousarray(np.asarray(self.bias, dtype=np.float64))
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            raise ShapeError("weights and bias must be finite")
+        self._store(w, b)
+
+    def forward(self, windows, residual=None, source=None) -> np.ndarray:
+        """Float columns carry no scale, so source is unused."""
+        out = apply_activation_array(windows @ self.weights + self.bias, self.activation).T
+        return out if residual is None else out + residual
+
+
 def _windows(buf: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     """Every window of buf at the given stride, flattened to (n, C*K)."""
     c, t = buf.shape
@@ -85,9 +122,17 @@ def _windows(buf: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     return view.transpose(1, 0, 2).reshape(-1, c * kernel)
 
 
+@dataclass
+class StreamState:
+    """One stream's history at one stage, and the input columns per step."""
+
+    history: np.ndarray
+    chunk_size: int
+
+
 @dataclass(eq=False)
 class PipelineStage:
-    """Geometry and operator of one stage, plus the history of one stream.
+    """Geometry, operator and residual wiring of one stage of a plan.
 
     A stage that captures its input passes its newest columns on as the
     residual of the later stage whose residual_from names it.
@@ -100,33 +145,26 @@ class PipelineStage:
     stride: int
     captures_input: bool = False
     residual_from: int | None = None
-    history_len: int = field(init=False, repr=False)
-    history: np.ndarray = field(init=False, repr=False)
-    blank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         geometry = (self.channels, self.kernel, self.stride)
         self.channels, self.kernel, self.stride = map(operator.index, geometry)
-        self.history_len = max(self.kernel - self.stride, 0)
-        # Histories are replaced, never written in place, so copies share
-        # them and every reset shares one zero history.
-        self.blank = self.op.zeros(self.channels, self.history_len)
-        self.history = self.blank
 
-    def __copy__(self) -> "PipelineStage":
-        """What copy.copy makes, without its generic reduce protocol: every
-        engine a model builds copies all of its stages."""
-        dup = object.__new__(type(self))
-        dup.__dict__.update(self.__dict__)
-        return dup
+    @property
+    def history_len(self) -> int:
+        return max(self.kernel - self.stride, 0)
 
-    def advance(self, cols, residual=None, source=None) -> np.ndarray:
+    def fresh_state(self, chunk_size: int) -> StreamState:
+        """A stream that has seen only zero columns, in the operator's encoding."""
+        return StreamState(self.op.zeros(self.channels, self.history_len), chunk_size)
+
+    def advance(self, state: StreamState, cols, residual=None, source=None) -> np.ndarray:
         """Consume input columns; returns one output column per window."""
-        h = self.history_len
-        buf = np.concatenate([self.history, cols], axis=1) if h else cols
+        h = state.history.shape[1]
+        buf = np.concatenate([state.history, cols], axis=1) if h else cols
         out = self.op.forward(_windows(buf, self.kernel, self.stride), residual, source)
         if h:
-            self.history = buf[:, buf.shape[1] - h :].copy()
+            state.history = buf[:, buf.shape[1] - h :].copy()
         return out
 
 
@@ -163,12 +201,21 @@ def _check_geometry(stages) -> None:
 
 
 class Pipeline:
-    """A network as a chain of stages; weights are shared between copies,
-    histories belong to one stream."""
+    """A plan of stages and the state of one stream through it."""
 
     def __init__(self, stages):
         self.stages = list(stages)
         _check_geometry(self.stages)
+        self.reset()
+
+    @classmethod
+    def of_plan(cls, stages: list) -> "Pipeline":
+        """A fresh stream over a plan whose geometry is already checked,
+        such as a model's stages; the stages are shared, not copied."""
+        eng = cls.__new__(cls)
+        eng.stages = stages
+        eng.reset()
+        return eng
 
     @property
     def chunk_size(self) -> int:
@@ -183,12 +230,12 @@ class Pipeline:
         return self.stages[-1].op.out_dim
 
     def reset(self):
-        for st in self.stages:
-            st.history = st.blank
+        """Fresh states; a step feeds each stage its stride in columns."""
+        self.states = [st.fresh_state(st.stride) for st in self.stages]
 
     def copy(self) -> "Pipeline":
         dup = copy.copy(self)
-        dup.stages = [copy.copy(st) for st in self.stages]
+        dup.states = [StreamState(s.history, s.chunk_size) for s in self.states]
         return dup
 
     def run(self, columns: np.ndarray, prime: bool = False) -> list:
@@ -201,21 +248,21 @@ class Pipeline:
         cols = self.stages[0].op.encode(columns)
         captured = {}
         outputs = []
-        for idx, st in enumerate(self.stages):
+        for idx, (st, state) in enumerate(zip(self.stages, self.states)):
             if prime:
                 h = st.history_len
                 if cols.shape[1] < h:
                     raise ShapeError(
                         f"prefix leaves {cols.shape[1]} columns for {st.name}, needs {h}"
                     )
-                st.history, cols = cols[:, :h], cols[:, h:]
+                state.history, cols = cols[:, :h], cols[:, h:]
             if st.captures_input:
                 captured[idx] = cols
             r = st.residual_from
             if r is None:
-                cols = st.advance(cols)
+                cols = st.advance(state, cols)
             else:
-                cols = st.advance(cols, captured[r], self.stages[r].op)
+                cols = st.advance(state, cols, captured[r], self.stages[r].op)
             outputs.append(cols)
         return outputs
 

@@ -3,13 +3,14 @@
 Weights are quantized symmetrically per tensor, activations asymmetrically
 per stage from calibrated min/max ranges (widened to include zero). Biases
 are pre-scaled to 32-bit integers in units of w_scale * in_scale. The
-quantized pipeline keeps the float one's stages and histories and swaps
-each operator for a QuantizedLinearLayer: stage j takes int8 columns in its
-in_params, which are stage j-1's out_params, so columns flow between stages
-without conversion; the first stage quantizes the float input and the
-classifier dequantizes the logits. Requantization uses a double-precision
-multiplier with round-half-away-from-zero, so the whole pipeline is
-bit-exact across runs and platforms once the input is quantized.
+quantized pipeline keeps the float one's stage geometry and wiring and
+swaps each operator for a QuantizedLinearLayer: stage j takes int8
+columns in its in_params, which are stage j-1's out_params, so columns
+flow between stages without conversion; the first stage quantizes the
+float input and the classifier dequantizes the logits. Requantization
+uses a double-precision multiplier with round-half-away-from-zero, so the
+whole pipeline is bit-exact across runs and platforms once the input is
+quantized.
 """
 
 from __future__ import annotations
@@ -105,8 +106,8 @@ class CalibrationRanges:
 def calibrate_activations(lnet: Pipeline, calib_stream: Tensor2D) -> CalibrationRanges:
     """Stream calibration data in float and record per-stage ranges.
 
-    Works on a private copy with fresh state; the caller's pipeline is not
-    disturbed. The stream must cover at least one step.
+    Runs a fresh stream over the pipeline's stages; the caller's stream
+    state is not disturbed. The stream must cover at least one step.
     """
     t = lnet.chunk_size
     if calib_stream.channels != lnet.input_features:
@@ -118,8 +119,7 @@ def calibrate_activations(lnet: Pipeline, calib_stream: Tensor2D) -> Calibration
         raise CalibrationError(
             f"calibration stream has {calib_stream.frames} frames, one step needs {t}"
         )
-    ln = lnet.copy()
-    ln.reset()
+    ln = Pipeline.of_plan(lnet.stages)
     used = calib_stream.data[:, : n_steps * t]
     lo = np.full(len(ln.stages), np.inf)
     hi = -lo

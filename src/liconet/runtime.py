@@ -1,14 +1,16 @@
 """End-to-end streaming: WAV in, feature frames, one inference step per
 stride-many frames, softmax, smoothing, sliding-window score, events.
 
-Every engine is the pipeline (see pipeline.py) of the model's stage plan
-with fresh stream state: `conv` runs a float model, `linear` a float or
-linearized one and `int8` a quantized one; a float model must pass the
-linearization gate. A stream primes on the first receptive_field - stride
-feature frames (never negative, and on the stride grid, so the first
-emitted posterior has a fully real context and step k equals batch
-column k), then steps once per chunk. A stream of F frames therefore
-yields floor((F - RF) / s1) + 1 posteriors.
+Every engine is a new stream over the model's stage plan (see
+pipeline.py): the engines of one model share its stages, each holding
+only its own stream state. `conv` runs a float model, `linear` a float or
+linearized one and `int8` a quantized one. A float model must pass the
+linearization gate; the plan's geometry was checked when the model was
+built or loaded, so an engine does not check it again. A stream primes on
+the first receptive_field - stride feature frames (never negative, and on
+the stride grid, so the first emitted posterior has a fully real context
+and step k equals batch column k), then steps once per chunk. A stream of
+F frames therefore yields floor((F - RF) / s1) + 1 posteriors.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def write_wav(path, samples: np.ndarray, rate: int = 16000) -> None:
 
 
 def make_engine(model: Model, engine: str) -> Pipeline:
-    """Instantiate the requested execution engine with fresh state."""
+    """A new stream of the requested engine over the model's stages."""
     if engine not in ENGINES:
         raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
     kinds, needs = _ENGINE_KINDS[engine]
@@ -73,9 +75,7 @@ def make_engine(model: Model, engine: str) -> Pipeline:
     report = check_stages(model.stages, model.first_stride)
     if not report.compliant:
         raise NotLinearizableError(report)
-    eng = Pipeline(model.stages).copy()
-    eng.reset()
-    return eng
+    return Pipeline.of_plan(model.stages)
 
 
 @dataclass(frozen=True)

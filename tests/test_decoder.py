@@ -4,10 +4,18 @@ window lengths, with logits large enough that some probabilities
 underflow to exactly 0."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liconet.decoder import DecoderConfig, KeywordDecoder, PosteriorFrame, softmax
+from liconet.decoder import (
+    DecoderConfig,
+    KeywordDecoder,
+    PosteriorFrame,
+    posterior_from_logits,
+    softmax,
+)
+from liconet.errors import InvalidInputError
 from reference import decode_loops
 
 
@@ -62,3 +70,17 @@ def test_reset_replays_like_a_fresh_decoder(case):
     for (s1, score1, event1), (s2, score2, event2) in zip(fresh, replay):
         assert s1.probs.tobytes() == s2.probs.tobytes()
         assert (score1, event1) == (score2, event2)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # softmax's inf - inf
+@pytest.mark.parametrize("logits", [[np.inf, 1.0], [np.nan, 0.0], [-np.inf, -np.inf]])
+def test_non_finite_logits_are_rejected(logits):
+    """A NaN posterior would give a NaN score that never crosses the threshold."""
+    with pytest.raises(InvalidInputError):
+        posterior_from_logits(0, logits)
+
+
+@pytest.mark.parametrize("probs", [[np.nan, 1.0], [0.5, np.nan, 0.5], [np.inf, 0.0]])
+def test_non_finite_probabilities_are_rejected(probs):
+    with pytest.raises(InvalidInputError):
+        PosteriorFrame(0, probs)

@@ -224,6 +224,23 @@ class TestNetworkForward:
             out = network_forward(net, Tensor2D(rng.normal(size=(net.input_features, t_frames))))
             assert out.data.shape[1] == (t_frames - rf) // s1 + 1
 
+    def test_one_column_per_stream_step_when_k1_below_s1(self):
+        """Frames after the last whole first-layer stride make no column,
+        as a stream never steps over them."""
+        rng = np.random.default_rng(24)
+        for kernel, s1 in ((2, 3), (2, 4), (3, 4), (2, 5)):
+            net = build_lico_net(3, 2, 4, 2, kernel, s1, 3, seed=int(rng.integers(1 << 30)))
+            rf = receptive_field(net)
+            for t_frames in range(rf, rf + 3 * s1 + 1):
+                x = rng.normal(size=(3, t_frames))
+                out = network_forward(net, Tensor2D(x)).data
+                stream = StreamingNetwork(net)
+                stream.prime_array(x[:, : rf - s1])
+                starts = range(rf - s1, t_frames - s1 + 1, s1)
+                steps = [stream.step_array(x[:, j : j + s1]) for j in starts]
+                assert out.shape[1] == (t_frames - rf) // s1 + 1 == len(steps)
+                np.testing.assert_allclose(out, np.hstack(steps), rtol=0, atol=1e-12)
+
     def test_insufficient_frames_raises(self):
         net = build_lico_net(4, 2, 6, 2, 3, 1, 5, seed=0)
         with pytest.raises(ShapeError):

@@ -83,6 +83,16 @@ def test_int8_input_params_must_match_first_stage(tmp_path):
         load_model(path)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", [1e300, 1.5, -1, True])
+def test_shape_entries_must_be_non_negative_integers(tmp_path, entry):
+    """Checked before any size arithmetic, which warns or overflows on them."""
+    path = _save(tmp_path, "linearized")
+    _rewrite(path, _set("tensors", 0, "shape", 0, value=entry))
+    with pytest.raises(ManifestError, match="not of non-negative integers"):
+        load_model(path)
+
+
 MALFORMED = {
     "keyword-out-of-range": ("lico", _set("decoder", "keyword_ids", value=[1, 40])),
     "blocks-not-a-list": ("lico", _set("arch", "blocks", value=5)),

@@ -1,5 +1,9 @@
 """Engine equivalence, stream state and model-file round trips.
 
+Stages are a shared plan and every stream's state lives in its own
+pipeline, so the engines of a model start fresh whatever the pipeline it
+wraps has stepped, and calibration leaves the caller's stream alone.
+
 The conv and linear engines are checked against the batch network on
 random compliant nets, and the int8 engine against logits recorded as
 sha256 digests of their float64 bytes.
@@ -26,7 +30,12 @@ from hypothesis import strategies as st
 from liconet.linearize import linearize_network
 from liconet.model import build_lico_net, build_mlp, network_forward, receptive_field
 from liconet.modelfile import default_model, load_model, save_model
-from liconet.quantize import CalibrationRanges, StageRange, quantize_network
+from liconet.quantize import (
+    CalibrationRanges,
+    StageRange,
+    calibrate_activations,
+    quantize_network,
+)
 from liconet.runtime import make_engine
 from liconet.tensor import Tensor2D
 
@@ -204,3 +213,33 @@ def test_engines_of_one_model_step_independently(kind, engine):
     for out, x in ((out_a, xa), (out_b, xb)):
         alone = _step_all(make_engine(model, engine), x, t)
         np.testing.assert_array_equal(np.concatenate(out, axis=1), alone)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=nets_with_stride(), n_steps=st.integers(1, 6), seed=st.integers(0, 2**30))
+def test_engines_of_a_stepped_pipeline_start_fresh(case, n_steps, seed):
+    net, t = case
+    x = np.random.default_rng(seed).normal(size=(net.input_features, n_steps * t))
+    lnet = linearize_network(net, t)
+    qnet = quantize_network(lnet, calibrate_activations(lnet, Tensor2D(x)))
+    for engine, pipe in (("linear", lnet), ("int8", qnet)):
+        want = _step_all(make_engine(default_model(pipe), engine), x, t)
+        _step_all(pipe, x, t)
+        model = default_model(pipe)
+        got = make_engine(model, engine)
+        assert all(a is b for a, b in zip(got.stages, model.stages))
+        np.testing.assert_array_equal(_step_all(got, x, t), want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=nets_with_stride(), n_steps=st.integers(1, 6), seed=st.integers(0, 2**30))
+def test_calibration_and_quantization_leave_the_stream_alone(case, n_steps, seed):
+    net, t = case
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(net.input_features, n_steps * t))
+    lnet = linearize_network(net, t)
+    _step_all(lnet, x, t)
+    before = lnet.copy()
+    quantize_network(lnet, calibrate_activations(lnet, Tensor2D(rng.normal(size=x.shape))))
+    chunk = rng.normal(size=(net.input_features, t))
+    np.testing.assert_array_equal(lnet.step_array(chunk), before.step_array(chunk))
