@@ -103,3 +103,60 @@ def decode_loops(probs, window, smooth, keyword_ids, threshold):
         prev_score = score
         out.append((smoothed, score, event))
     return out
+
+
+def _round_half_away(v):
+    return int(math.copysign(math.floor(abs(v) + 0.5), v))
+
+
+def int8_stream_loops(stages, x, primed):
+    """Logits of an int8 stage chain run over float frames x (C, T).
+
+    Each stage is a dict of plain values: int weights (in, out) and int
+    bias, w_scale, in_scale/in_zp, out_scale/out_zp, relu, kernel, stride
+    and residual_from. Codes are integers with zero points; the
+    accumulator sums (q - in_zp) * w exactly in Python integers, and
+    requantization is round(acc * w_scale * in_scale / out_scale) + out_zp,
+    relu max(z, out_zp), plus round((r - src_zp) * src_scale / out_scale)
+    for a residual r, clipped to [-128, 127]. A stage runs over its whole
+    input at once, preceded by max(K - s, 0) zero-point columns unless
+    primed, when the head of its input is its history. Returns the last
+    stage's columns as floats (q - out_zp) * out_scale.
+    """
+    first = stages[0]
+    cols = [
+        [min(max(_round_half_away(v / first["in_scale"]) + first["in_zp"], -128), 127) for v in col]
+        for col in zip(*x)
+    ]
+    inputs = {}
+    for j, st in enumerate(stages):
+        k, s = st["kernel"], st["stride"]
+        w, b = st["weights"], st["bias"]
+        channels, h = len(w) // k, max(k - s, 0)
+        if not primed:
+            cols = [[st["in_zp"]] * channels] * h + cols
+        inputs[j] = cols[h:]
+        m = st["w_scale"] * st["in_scale"] / st["out_scale"]
+        out = []
+        for i in range(0, len(cols) - k + 1, s):
+            window = [cols[i + kk][c] for c in range(channels) for kk in range(k)]
+            col = []
+            for o in range(len(b)):
+                acc = int(b[o])
+                for n, q in enumerate(window):
+                    acc += (q - st["in_zp"]) * int(w[n][o])
+                z = _round_half_away(float(acc) * m) + st["out_zp"]
+                if st["relu"]:
+                    z = max(z, st["out_zp"])
+                col.append(z)
+            out.append(col)
+        r = st["residual_from"]
+        if r is not None:
+            src = stages[r]
+            ratio = src["in_scale"] / st["out_scale"]
+            for col, res in zip(out, inputs[r]):
+                for o in range(len(col)):
+                    col[o] += _round_half_away((float(res[o]) - src["in_zp"]) * ratio)
+        cols = [[min(max(z, -128), 127) for z in col] for col in out]
+    last = stages[-1]
+    return [[(z - last["out_zp"]) * last["out_scale"] for z in col] for col in cols]

@@ -5,8 +5,9 @@ pipeline, so the engines of a model start fresh whatever the pipeline it
 wraps has stepped, and calibration leaves the caller's stream alone.
 
 The conv and linear engines are checked against the batch network on
-random compliant nets, and the int8 engine against logits recorded as
-sha256 digests of their float64 bytes.
+random compliant nets, and the int8 engine against a plain integer loop
+(`reference.int8_stream_loops`) and against logits recorded as sha256
+digests of their float64 bytes.
 
 `data/tiny_mlp_int8.lcn` (an MLP over 4 frames of 3 features, hidden
 widths 4 and 4, 3 classes, stride 3) was written with
@@ -30,14 +31,18 @@ from hypothesis import strategies as st
 from liconet.linearize import linearize_network
 from liconet.model import build_lico_net, build_mlp, network_forward, receptive_field
 from liconet.modelfile import default_model, load_model, save_model
+from liconet.pipeline import Pipeline, PipelineStage
 from liconet.quantize import (
+    MAX_IN_DIM,
     CalibrationRanges,
+    QuantizedLinearLayer,
     StageRange,
     calibrate_activations,
     quantize_network,
 )
 from liconet.runtime import make_engine
-from liconet.tensor import Tensor2D
+from liconet.tensor import QuantParams, Tensor2D
+from reference import int8_stream_loops
 
 DATA = Path(__file__).parent / "data"
 FLOAT_TOL = 1e-12
@@ -194,6 +199,64 @@ def test_int8_residual_golden():
     assert _digest(_int8_logits(model, primed=False)) == (
         "2f9ce7953ee03555f656f840fa4c7f4b868844cfdc0e08bb1a11d9fc19256f7e"
     )
+
+
+def _oracle(stages, x, primed) -> np.ndarray:
+    plain = [
+        {
+            "weights": st.op.weights.tolist(),
+            "bias": st.op.bias.tolist(),
+            "w_scale": st.op.weight_params.scale,
+            "in_scale": st.op.in_params.scale,
+            "in_zp": st.op.in_params.zero_point,
+            "out_scale": st.op.out_params.scale,
+            "out_zp": st.op.out_params.zero_point,
+            "relu": st.op.activation == "relu",
+            "kernel": st.kernel,
+            "stride": st.stride,
+            "residual_from": st.residual_from,
+        }
+        for st in stages
+    ]
+    return np.array(int8_stream_loops(plain, x.tolist(), primed)).T
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=nets_with_stride(), n_steps=st.integers(1, 6), seed=st.integers(0, 2**30))
+def test_int8_engine_matches_the_integer_oracle(case, n_steps, seed):
+    """Inputs at twice the calibration spread also exercise both clips."""
+    net, t = case
+    rng = np.random.default_rng(seed)
+    lnet = linearize_network(net, t)
+    calib = Tensor2D(rng.normal(size=(net.input_features, 4 * t)))
+    model = default_model(quantize_network(lnet, calibrate_activations(lnet, calib)))
+    prime = model.receptive_field - t
+    x = 2 * rng.normal(size=(net.input_features, prime + n_steps * t))
+    primed = make_engine(model, "int8")
+    primed.prime_array(x[:, :prime])
+    got = _step_all(primed, x[:, prime:], t)
+    assert got.tobytes() == _oracle(model.stages, x, primed=True).tobytes()
+    got = _step_all(make_engine(model, "int8"), x[:, prime:], t)
+    assert got.tobytes() == _oracle(model.stages, x[:, prime:], primed=False).tobytes()
+
+
+def test_int8_accumulator_is_exact_at_max_in_dim():
+    """in_dim = MAX_IN_DIM with weights +-127 and codes 255 from the zero
+    point: the accumulator reaches 127 * 255 * MAX_IN_DIM, and the biases
+    put the first step's requantized values on ties (+-126.5), which round
+    away from zero only if every unit of the sum is kept."""
+    w = np.where(np.random.default_rng(3).random((MAX_IN_DIM, 3)) < 0.5, -127, 127)
+    w[:, 0], w[:, 1] = 127, -127
+    one = QuantParams(1.0, 0)
+    op = QuantizedLinearLayer(
+        w, [-16384, 16384, 0], one, QuantParams(1.0, -128), QuantParams(2.0**22, 0), "none"
+    )
+    stage = PipelineStage("wide", op, MAX_IN_DIM, 1, 1)
+    rng = np.random.default_rng(4)
+    x = np.concatenate([np.full((MAX_IN_DIM, 1), 1e3), rng.choice([-1e3, 1e3], (MAX_IN_DIM, 3))], 1)
+    got = _step_all(Pipeline([stage]), x, 1)
+    assert got[:2, 0].tolist() == [127 * 2.0**22, -127 * 2.0**22]
+    assert got.tobytes() == _oracle([stage], x, primed=False).tobytes()
 
 
 @pytest.mark.parametrize(
