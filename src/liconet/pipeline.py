@@ -19,7 +19,9 @@ batch pass over the prefix would. Calibration reads each stage's output
 from the same loop.
 
 An operator (a DenseOperator) supplies the arithmetic: `LinearLayer` in
-float64 and `quantize.QuantizedLinearLayer` in int8.
+float64 and `quantize.QuantizedLinearLayer` in int8, whose columns hold
+codes minus their zero point; both stream float64 columns in which 0 is
+a zero column, so every history starts as zeros.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class DenseOperator:
     Subclasses define forward(windows, residual=None, source=None), which
     maps (n, in_dim) windows to (out_dim, n) columns and adds residual,
     the input columns of the operator source. encode maps float input
-    columns to what the windows hold, zeros gives that of zero columns and
+    columns to what the windows hold, in which a zero column is 0, and
     decode maps output columns back to float; here they are float columns.
     """
 
@@ -82,9 +84,6 @@ class DenseOperator:
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         return x
-
-    def zeros(self, channels: int, width: int) -> np.ndarray:
-        return np.zeros((channels, width))
 
     def decode(self, y: np.ndarray) -> np.ndarray:
         return y
@@ -155,8 +154,8 @@ class PipelineStage:
         return max(self.kernel - self.stride, 0)
 
     def fresh_state(self, chunk_size: int) -> StreamState:
-        """A stream that has seen only zero columns, in the operator's encoding."""
-        return StreamState(self.op.zeros(self.channels, self.history_len), chunk_size)
+        """A stream that has seen only zero columns."""
+        return StreamState(np.zeros((self.channels, self.history_len)), chunk_size)
 
     def advance(self, state: StreamState, cols, residual=None, source=None) -> np.ndarray:
         """Consume input columns; returns one output column per window."""

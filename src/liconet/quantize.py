@@ -3,14 +3,17 @@
 Weights are quantized symmetrically per tensor, activations asymmetrically
 per stage from calibrated min/max ranges (widened to include zero). Biases
 are pre-scaled to 32-bit integers in units of w_scale * in_scale. The
-quantized pipeline keeps the float one's stage geometry and wiring and
-swaps each operator for a QuantizedLinearLayer: stage j takes int8
-columns in its in_params, which are stage j-1's out_params, so columns
-flow between stages without conversion; the first stage quantizes the
-float input and the classifier dequantizes the logits. Requantization
-uses a double-precision multiplier with round-half-away-from-zero, so the
-whole pipeline is bit-exact across runs and platforms once the input is
-quantized.
+quantized pipeline keeps the float one's stages, each with a
+QuantizedLinearLayer: stage j's in_params are stage j-1's out_params, so
+columns flow between stages without conversion.
+
+Columns hold zero-point-free codes, q - zero_point, as float64 (Jacob et
+al. 2018, arXiv:1712.05877), so a zero column is 0. MAX_IN_DIM keeps each
+partial sum of a window's product an integer below 2**31, which float64
+sums exactly in any BLAS order. Requantization rounds half away from zero
+after a double-precision multiplier, so the pipeline is bit-exact across
+runs and platforms once its input is quantized. decode adds 0.0 so that a
+-0.0 from rounding reaches the logits as 0.0.
 """
 
 from __future__ import annotations
@@ -20,26 +23,25 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CalibrationError, ConfigError, ShapeError
-from .pipeline import DenseOperator, Pipeline
+from .pipeline import DenseOperator, Pipeline, apply_activation_array
 from .tensor import (
     QMAX,
     QMIN,
     QuantParams,
     Tensor2D,
     choose_quant_params,
-    dequantize_array,
     quantize_array,
     round_half_away,
 )
 
-# Guarantees an int32 accumulator cannot overflow: per-term magnitude is at
-# most 127 * 255, so 16384 terms stay below 2**31.
+# Per-term magnitude is at most 127 * 255, so a window's accumulator over
+# 16384 terms stays below 2**31: exact in float64, and it would fit an int32.
 MAX_IN_DIM = 16384
 
 
 @dataclass(frozen=True)
 class QuantizedLinearLayer(DenseOperator):
-    """int8 dense operator with pre-scaled int32 bias."""
+    """int8 dense operator with pre-scaled int32 bias over zero-point-free codes."""
 
     weights: np.ndarray  # int8, (in_dim, out_dim)
     bias: np.ndarray  # int32, (out_dim,)
@@ -56,33 +58,25 @@ class QuantizedLinearLayer(DenseOperator):
         self._store(w, b)
         if w.shape[0] > MAX_IN_DIM:
             raise ConfigError(f"in_dim {w.shape[0]} exceeds accumulator-safe {MAX_IN_DIM}")
+        m = self.weight_params.scale * self.in_params.scale / self.out_params.scale
+        object.__setattr__(self, "_w64", w.astype(np.float64))
+        object.__setattr__(self, "_m", m)
 
     def forward(self, windows, residual=None, source=None) -> np.ndarray:
-        """int8 windows to int8 columns. The residual, in source's
-        in_params, is rescaled to this layer's out_params and added before
-        the final clip."""
-        acc = (windows.astype(np.int64) - self.in_params.zero_point) @ self.weights.astype(
-            np.int64
-        ) + self.bias
-        m = self.weight_params.scale * self.in_params.scale / self.out_params.scale
-        z = round_half_away(acc.T.astype(np.float64) * m) + self.out_params.zero_point
-        if self.activation == "relu":
-            z = np.maximum(z, self.out_params.zero_point)
+        """Codes to codes. The residual, in source's in_params, is rescaled
+        to this layer's out_params and added before the final clip."""
+        acc = windows @ self._w64 + self.bias
+        z = apply_activation_array(round_half_away(acc.T * self._m), self.activation)
         if residual is not None:
-            src = source.in_params
-            z = z + round_half_away(
-                (residual.astype(np.float64) - src.zero_point) * (src.scale / self.out_params.scale)
-            )
-        return np.clip(z, QMIN, QMAX).astype(np.int8)
+            z = z + round_half_away(residual * (source.in_params.scale / self.out_params.scale))
+        zp = self.out_params.zero_point
+        return np.clip(z, QMIN - zp, QMAX - zp)
 
     def encode(self, x: np.ndarray) -> np.ndarray:
-        return quantize_array(x, self.in_params)
-
-    def zeros(self, channels: int, width: int) -> np.ndarray:
-        return np.full((channels, width), self.in_params.zero_point, dtype=np.int8)
+        return quantize_array(x, self.in_params).astype(np.float64) - self.in_params.zero_point
 
     def decode(self, y: np.ndarray) -> np.ndarray:
-        return dequantize_array(y, self.out_params)
+        return y * self.out_params.scale + 0.0  # + 0.0 turns the -0.0 of rounding into 0.0
 
 
 @dataclass(frozen=True)
