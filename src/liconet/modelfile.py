@@ -118,7 +118,12 @@ def _qparams_out(p: QuantParams):
 
 
 def _qparams_in(d) -> QuantParams:
-    return QuantParams(float(d["scale"]), int(d["zero_point"]))
+    scale, zp = d["scale"], d["zero_point"]
+    if isinstance(zp, bool) or not isinstance(zp, int):
+        raise ManifestError(f"zero_point {zp!r} is not an integer")
+    if isinstance(scale, bool) or not isinstance(scale, (int, float)):
+        raise ManifestError(f"scale {scale!r} is not a real number")
+    return QuantParams(float(scale), zp)
 
 
 def _collect(model: Model):
@@ -308,6 +313,9 @@ def _rebuild_net(manifest, tensors):
             raise ManifestError(f"arch gives chunk, features, classes {declared}, not {derived}")
         if qfields and _qparams_in(arch["input_params"]) != net.stages[0].op.in_params:
             raise ManifestError("input_params differ from the first stage's in_params")
+        for prev, st in zip(net.stages, net.stages[1:]):
+            if qfields and st.op.in_params != prev.op.out_params:
+                raise ManifestError(f"{st.name}: in_params differ from {prev.name}'s out_params")
         return net
     raise ManifestError(f"unknown model kind {kind!r}")
 

@@ -102,6 +102,22 @@ MALFORMED = {
     "stages-not-a-list": ("linearized", _set("arch", "stages", value=7)),
     "activation": ("quantized", _set("arch", "classifier", "activation", value="tanh")),
     "scale": ("quantized", _set("arch", "stages", 0, "out_params", "scale", value=-1.0)),
+    "scale-bool": ("quantized", _set("arch", "classifier", "weight_params", "scale", value=True)),
+    "scale-text": ("quantized", _set("arch", "stages", 2, "weight_params", "scale", value=str)),
+    "zero-point-float": ("quantized", _set("arch", "input_params", "zero_point", value=float)),
+    "zero-point-text": (
+        "quantized", _set("arch", "stages", 0, "out_params", "zero_point", value=str)
+    ),
+    "zero-point-bool": (
+        "quantized", _set("arch", "stages", 1, "weight_params", "zero_point", value=bool)
+    ),
+    # Stage j's in_params must be stage j - 1's out_params.
+    "chain-zero-point": (
+        "quantized", _set("arch", "stages", 2, "in_params", "zero_point", value=lambda z: z + 1)
+    ),
+    "chain-scale": (
+        "quantized", _set("arch", "classifier", "in_params", "scale", value=lambda s: 2 * s)
+    ),
     "first-stride-fraction": ("mlp", _set("first_stride", value=1.5)),
     "window-fraction": ("lico", _set("decoder", "window_steps", value=36.5)),
 }
