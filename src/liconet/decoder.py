@@ -35,6 +35,8 @@ class PosteriorFrame:
 
 def softmax(logits) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64).reshape(-1)
+    if not np.all(np.isfinite(z)):
+        raise InvalidInputError("logits must be finite")
     z = z - z.max()
     e = np.exp(z)
     return e / e.sum()

@@ -72,7 +72,6 @@ def test_reset_replays_like_a_fresh_decoder(case):
         assert (score1, event1) == (score2, event2)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # softmax's inf - inf
 @pytest.mark.parametrize("logits", [[np.inf, 1.0], [np.nan, 0.0], [-np.inf, -np.inf]])
 def test_non_finite_logits_are_rejected(logits):
     """A NaN posterior would give a NaN score that never crosses the threshold."""
