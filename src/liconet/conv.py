@@ -16,6 +16,7 @@ zero columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -73,25 +74,25 @@ class Conv1DLayer:
     def kernel(self) -> int:
         return self.weights.shape[2]
 
+    @cached_property
+    def dense(self) -> LinearLayer:
+        """The layer as a dense (C*K, D) operator, Wd[c*K + k][d] = W[d][c][k],
+        built once.
 
-def conv_to_dense(layer: Conv1DLayer) -> LinearLayer:
-    """Reshape conv weights (D, C, K) to a dense (C*K, D) operator,
-    Wd[c*K + k][d] = W[d][c][k].
-
-    The conv layer has already checked everything LinearLayer would, so
-    the reshaped weights are not checked again.
-    """
-    w = layer.weights.transpose(1, 2, 0).reshape(layer.in_channels * layer.kernel, -1)
-    w.setflags(write=False)
-    dense = object.__new__(LinearLayer)
-    for name, value in (("weights", w), ("bias", layer.bias), ("activation", layer.activation)):
-        object.__setattr__(dense, name, value)
-    return dense
+        The conv layer has already checked everything LinearLayer would, so
+        the reshaped weights are not checked again.
+        """
+        w = self.weights.transpose(1, 2, 0).reshape(self.in_channels * self.kernel, -1)
+        w.setflags(write=False)
+        dense = object.__new__(LinearLayer)
+        for name, value in (("weights", w), ("bias", self.bias), ("activation", self.activation)):
+            object.__setattr__(dense, name, value)
+        return dense
 
 
 def conv_stage(name: str, layer: Conv1DLayer, captures_input=False, residual_from=None):
     """The layer as one pipeline stage."""
-    return PipelineStage(name, conv_to_dense(layer), layer.in_channels, layer.kernel,
+    return PipelineStage(name, layer.dense, layer.in_channels, layer.kernel,
                          layer.stride, captures_input, residual_from)
 
 
