@@ -76,11 +76,10 @@ class Conv1DLayer:
 
     @cached_property
     def dense(self) -> LinearLayer:
-        """The layer as a dense (C*K, D) operator, Wd[c*K + k][d] = W[d][c][k],
-        built once.
+        """The layer as a dense (C*K, D) operator, Wd[c*K + k][d] = W[d][c][k].
 
-        The conv layer has already checked everything LinearLayer would, so
-        the reshaped weights are not checked again.
+        Built once per layer. The conv layer has already checked everything
+        LinearLayer would, so the reshaped weights are not checked again.
         """
         w = self.weights.transpose(1, 2, 0).reshape(self.in_channels * self.kernel, -1)
         w.setflags(write=False)

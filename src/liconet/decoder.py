@@ -35,7 +35,7 @@ class PosteriorFrame:
 
 def softmax(logits) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise InvalidInputError("logits must be finite")
     z = z - z.max()
     e = np.exp(z)
