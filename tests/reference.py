@@ -160,3 +160,20 @@ def int8_stream_loops(stages, x, primed):
         cols = [[min(max(z, -128), 127) for z in col] for col in out]
     last = stages[-1]
     return [[(z - last["out_zp"]) * last["out_scale"] for z in col] for col in cols]
+
+
+def logmel_frames_loops(pcm, cfg):
+    """Normalized log-mel frames of a whole PCM stream, one loop turn per
+    frame: slice a window, rfft, one mel-bank GEMV, log, normalize. Only
+    the config's Hann window and mel bank are shared with the package.
+    Returns (n_mels, k)."""
+    x = np.asarray(pcm)
+    x = x / 32768.0 if x.dtype == np.int16 else x.astype(np.float64)
+    win, hop = cfg.window_samples, cfg.hop_samples
+    frames = []
+    for start in range(0, x.size - win + 1, hop):
+        spectrum = np.fft.rfft(x[start : start + win] * cfg.hann, n=cfg.n_fft)
+        power = spectrum.real**2 + spectrum.imag**2
+        energies = cfg.mel_bank @ power
+        frames.append((np.log(energies + cfg.log_floor) - cfg.norm_mean) / cfg.norm_std)
+    return np.stack(frames, axis=1) if frames else np.zeros((cfg.n_mels, 0))
