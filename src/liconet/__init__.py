@@ -32,13 +32,7 @@ from .errors import (
     TruncatedError,
     VersionError,
 )
-from .frontend import (
-    FeatureStream,
-    FrontendConfig,
-    compute_logmel_frame,
-    mel_band_energies,
-    normalize,
-)
+from .frontend import FeatureStream, FrontendConfig
 from .linearize import LinearizabilityReport, check_linearizable, linearize_network
 from .model import (
     LiCoBlock,

@@ -5,6 +5,11 @@ nearest power-of-two FFT at or above the window length (zero-padded),
 triangular mel filters on the HTK scale spanning 0 Hz to Nyquist, natural
 log with an additive floor. Normalization statistics are model payload;
 identity stats are the default.
+
+FeatureStream frames its samples with pipeline.windows, as every stage
+frames its columns, and transforms a push's complete frames in one pass.
+Each frame still gets its own rfft and mel-bank GEMV, so frames are
+byte-identical however the PCM is split across pushes.
 """
 
 from __future__ import annotations
@@ -14,7 +19,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
+from .pipeline import windows
+
+# Frames transformed in one pass; bounds the memory of a long push.
+_BLOCK_FRAMES = 256
 
 
 def hz_to_mel(f):
@@ -63,15 +72,15 @@ class FrontendConfig:
         object.__setattr__(self, "norm_mean", mean)
         object.__setattr__(self, "norm_std", std)
 
-    @property
+    @cached_property
     def window_samples(self) -> int:
         return int(round(self.sample_rate * self.window_ms / 1000.0))
 
-    @property
+    @cached_property
     def hop_samples(self) -> int:
         return int(round(self.sample_rate * self.hop_ms / 1000.0))
 
-    @property
+    @cached_property
     def n_fft(self) -> int:
         n = 1
         while n < self.window_samples:
@@ -107,25 +116,6 @@ class FrontendConfig:
         return bank
 
 
-def mel_band_energies(samples, cfg: FrontendConfig) -> np.ndarray:
-    """Filterbank energies of one exact window of samples (pre-log)."""
-    x = np.asarray(samples, dtype=np.float64)
-    if x.shape != (cfg.window_samples,):
-        raise ShapeError(f"expected {cfg.window_samples} samples, got {x.shape}")
-    spectrum = np.fft.rfft(x * cfg.hann, n=cfg.n_fft)
-    power = spectrum.real**2 + spectrum.imag**2
-    return cfg.mel_bank @ power
-
-
-def compute_logmel_frame(samples, cfg: FrontendConfig) -> np.ndarray:
-    """Natural-log mel energies of one window; silence hits log(floor)."""
-    return np.log(mel_band_energies(samples, cfg) + cfg.log_floor)
-
-
-def normalize(frame, cfg: FrontendConfig) -> np.ndarray:
-    return (np.asarray(frame, dtype=np.float64) - cfg.norm_mean) / cfg.norm_std
-
-
 def pcm_to_float(samples) -> np.ndarray:
     """16-bit signed PCM to [-1, 1) by division by 32768; floats pass through."""
     arr = np.asarray(samples)
@@ -142,21 +132,26 @@ class FeatureStream:
 
     def __init__(self, cfg: FrontendConfig):
         self.cfg = cfg
-        self._buffer = np.zeros(0)
+        self.reset()
 
     def reset(self):
         self._buffer = np.zeros(0)
 
     def push(self, samples) -> np.ndarray:
-        """Feed PCM; returns the newly completed frames as (n_mels, k)."""
+        """Feed PCM; returns the newly completed frames as (n_mels, k),
+        transformed at most _BLOCK_FRAMES to a pass."""
         cfg = self.cfg
-        self._buffer = np.concatenate([self._buffer, pcm_to_float(samples)])
-        frames = []
-        while self._buffer.size >= cfg.window_samples:
-            raw = compute_logmel_frame(self._buffer[: cfg.window_samples], cfg)
-            frames.append(normalize(raw, cfg))
-            self._buffer = self._buffer[cfg.hop_samples :]
-        if not frames:
-            return np.zeros((cfg.n_mels, 0))
-        return np.stack(frames, axis=1)
-
+        hop, win = cfg.hop_samples, cfg.window_samples
+        buf = np.concatenate([self._buffer, pcm_to_float(samples)])
+        blocks = [np.zeros((cfg.n_mels, 0))]
+        while buf.size >= win:
+            frames = windows(buf[None, : (_BLOCK_FRAMES - 1) * hop + win], win, hop)
+            spectrum = np.fft.rfft(frames * cfg.hann, n=cfg.n_fft)
+            power = spectrum.real**2 + spectrum.imag**2
+            # One GEMV per frame, as a single frame gets: a GEMM would sum
+            # in another order, so frames would depend on the push size.
+            energies = np.matmul(cfg.mel_bank, power[:, :, None])[:, :, 0]
+            blocks.append(((np.log(energies + cfg.log_floor) - cfg.norm_mean) / cfg.norm_std).T)
+            buf = buf[len(frames) * hop :]
+        self._buffer = buf.copy()  # not a view that keeps a long push alive
+        return np.concatenate(blocks, axis=1)

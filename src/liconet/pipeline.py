@@ -11,7 +11,8 @@ place, so copies may share them.
 Windows flatten channel-major, x~[c*K + k] = window[c][k]. A stage
 advances a state over new input columns by appending them to its history,
 handing every (C, K) window at its stride to its operator as one (n, C*K)
-matrix, and keeping the newest columns as the next history. A step feeds
+matrix (`windows`, which frames the frontend's audio too), and keeping
+the newest columns as the next history. A step feeds
 one first-layer stride of frames and emits one column per stage. Priming
 takes each stage's history from the head of that stage's input and
 advances over the rest, so a following step picks up exactly where a
@@ -110,13 +111,13 @@ class LinearLayer(DenseOperator):
         return out if residual is None else out + residual
 
 
-def _windows(buf: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """Every window of buf at the given stride, flattened to (n, C*K)."""
+def windows(buf: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """Every window of buf (C, T) at the given stride, flattened to (n, C*K)."""
     c, t = buf.shape
-    if t == kernel:  # a step's single window, without a strided view
-        return buf.reshape(1, c * kernel)
     if t < kernel:
         return np.empty((0, c * kernel), buf.dtype)
+    if t < kernel + stride:  # exactly one window, without a strided view
+        return buf[:, :kernel].reshape(1, c * kernel)
     view = sliding_window_view(buf, kernel, axis=1)[:, ::stride]
     return view.transpose(1, 0, 2).reshape(-1, c * kernel)
 
@@ -161,7 +162,7 @@ class PipelineStage:
         """Consume input columns; returns one output column per window."""
         h = state.history.shape[1]
         buf = np.concatenate([state.history, cols], axis=1) if h else cols
-        out = self.op.forward(_windows(buf, self.kernel, self.stride), residual, source)
+        out = self.op.forward(windows(buf, self.kernel, self.stride), residual, source)
         if h:
             state.history = buf[:, buf.shape[1] - h :].copy()
         return out
