@@ -174,6 +174,12 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="liconet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -216,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the engine-equivalence suites")
     p.add_argument("model")
-    p.add_argument("--steps", type=int, default=500)
+    p.add_argument("--steps", type=_positive_int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)
     return parser

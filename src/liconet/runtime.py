@@ -38,7 +38,11 @@ ENGINES = tuple(_ENGINE_KINDS)
 
 def read_wav(path, expected_rate: int = 16000) -> np.ndarray:
     """Load RIFF PCM16 mono samples as int16. Other formats are rejected."""
-    with wave.open(str(path), "rb") as w:
+    try:
+        w = wave.open(str(path), "rb")
+    except (wave.Error, EOFError) as exc:  # not RIFF, or a truncated header
+        raise InvalidInputError(f"{path} is not a WAV file: {exc or 'header ends early'}") from exc
+    with w:
         if w.getcomptype() != "NONE":
             raise InvalidInputError(f"compressed WAV ({w.getcomptype()}) not supported")
         if w.getsampwidth() != 2:

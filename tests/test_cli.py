@@ -128,3 +128,43 @@ def test_verify_steps_the_saved_linearized_pipeline(tmp_path, capsys, monkeypatc
     assert lines[0].endswith(" ok") and lines[0].startswith("streaming vs batch")
     assert lines[1].startswith("linearized vs streaming: max deviation 1.000e-03")
     assert lines[1].endswith(" FAIL")
+
+
+def _riff_prefix(n):
+    """The first n bytes of a valid 16 kHz mono PCM16 WAV file."""
+    import io
+    import wave
+
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as w:
+        w.setnchannels(1)
+        w.setsampwidth(2)
+        w.setframerate(16000)
+        w.writeframes(bytes(200))
+    return buf.getvalue()[:n]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"not a wav file " * 10, b"", _riff_prefix(12), _riff_prefix(20)],
+    ids=["not-riff", "empty", "no-chunks", "truncated-header"],
+)
+def test_run_and_quantize_reject_a_malformed_wav_without_a_traceback(tmp_path, capsys, content):
+    model, wav = str(tmp_path / "model.lcn"), tmp_path / "bad.wav"
+    wav.write_bytes(content)
+    assert cli_main(["init", "--arch", "mlp", "--preset", "small", "--out", model]) == 0
+    for argv in (["run", model, "--wav", str(wav)],
+                 ["quantize", model, "--calib", str(wav), "--out", str(tmp_path / "q.lcn")]):
+        capsys.readouterr()
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {wav} is not a WAV file: ")
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_verify_rejects_fewer_than_one_step_as_a_usage_error(tmp_path, capsys, steps):
+    path = str(tmp_path / "model.lcn")
+    assert cli_main(["init", "--arch", "mlp", "--preset", "small", "--out", path]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["verify", path, "--steps", steps])
+    assert exc.value.code == 2
+    assert "--steps: " in capsys.readouterr().err
