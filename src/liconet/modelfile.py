@@ -10,7 +10,9 @@ Layout, all integers little-endian:
 
 The manifest declares every tensor's name, dtype (f32, i8, or i32),
 shape, and byte length; loading validates the whole file before any net
-is constructed. Saving is deterministic: the same model always produces
+is constructed, then rebuilds the model from its tensors and rejects a
+manifest whose arch or tensor entries differ from the ones saving that
+model writes. Saving is deterministic: the same model always produces
 byte-identical files.
 """
 
@@ -101,16 +103,10 @@ def default_model(net, first_stride: int | None = None, threshold: float = 0.5) 
 # --- manifest assembly -----------------------------------------------------
 
 
-def _tensor_entries(named):
-    entries, blobs = [], []
-    for name, arr, dtype in named:
-        cast = np.ascontiguousarray(arr, dtype=_DTYPES[dtype])
-        blob = cast.tobytes()
-        entries.append(
-            {"name": name, "dtype": dtype, "shape": list(arr.shape), "byte_len": len(blob)}
-        )
-        blobs.append(blob)
-    return entries, b"".join(blobs)
+def _entry(name, arr, dtype):
+    """The manifest entry of a tensor stored as dtype."""
+    byte_len = arr.size * _DTYPES[dtype].itemsize
+    return {"name": name, "dtype": dtype, "shape": list(arr.shape), "byte_len": byte_len}
 
 
 def _qparams_out(p: QuantParams):
@@ -213,8 +209,8 @@ def save_model(model, path) -> None:
     if not isinstance(model, Model):
         model = default_model(model)
     manifest, named = _collect(model)
-    entries, blob = _tensor_entries(named)
-    manifest["tensors"] = entries
+    manifest["tensors"] = [_entry(*t) for t in named]
+    blob = b"".join(np.ascontiguousarray(a, dtype=_DTYPES[d]).tobytes() for _, a, d in named)
     payload = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as f:
         f.write(MAGIC)
@@ -307,10 +303,6 @@ def _rebuild_net(manifest, tensors):
         ]
         cls = operator("classifier", arch["classifier"] if qfields else {"activation": "none"})
         net = Pipeline(stages + [PipelineStage("classifier", cls, cls.in_dim, 1, 1)])
-        declared = (arch["chunk_size"], arch["input_features"], arch["n_classes"])
-        derived = (net.chunk_size, net.input_features, net.n_classes)
-        if declared != derived:
-            raise ManifestError(f"arch gives chunk, features, classes {declared}, not {derived}")
         if qfields and _qparams_in(arch["input_params"]) != net.stages[0].op.in_params:
             raise ManifestError("input_params differ from the first stage's in_params")
         for prev, st in zip(net.stages, net.stages[1:]):
@@ -348,7 +340,14 @@ def load_model(path) -> Model:
             norm_std=tensors["frontend.norm_std"],
         )
         decoder = DecoderConfig(**{f: manifest["decoder"][f] for f in _DECODER_FIELDS})
-        return Model(net, frontend, decoder, manifest["first_stride"])
+        model = Model(net, frontend, decoder, manifest["first_stride"])
+        # The tensors alone build the model: its arch and tensor entries
+        # must be the ones save_model would write for it.
+        written, named = _collect(model)
+        for key, want in (("arch", written["arch"]), ("tensors", [_entry(*t) for t in named])):
+            if manifest[key] != want:
+                raise ManifestError(f"{key} entries are not those of the model the tensors build")
+        return model
     except KeyError as exc:
         raise ManifestError(f"manifest missing field {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -53,6 +53,15 @@ def _set(*keys, value):
     return mutate
 
 
+def _relabel(name, dtype):
+    """Give tensor name another dtype of the same item size."""
+
+    def mutate(manifest):
+        next(t for t in manifest["tensors"] if t["name"] == name)["dtype"] = dtype
+
+    return mutate
+
+
 # Stage 1 is block1.conv2 (pointwise), stage 4 block2.conv2, stage 5 block2.conv3,
 # whose residual comes from stage 3.
 GEOMETRY = {
@@ -120,6 +129,18 @@ MALFORMED = {
     ),
     "first-stride-fraction": ("mlp", _set("first_stride", value=1.5)),
     "window-fraction": ("lico", _set("decoder", "window_steps", value=36.5)),
+    # An arch or tensor entry that the tensors do not bear out.
+    "lico-width": ("lico", _set("arch", "blocks", 0, "width", value=lambda w: w + 1)),
+    "lico-expansion": ("lico", _set("arch", "blocks", 1, "expansion", value=lambda e: e + 1)),
+    "lico-kernel": ("lico", _set("arch", "blocks", 0, "kernel", value=lambda k: k - 1)),
+    "lico-classes": ("lico", _set("arch", "n_classes", value=lambda n: n + 1)),
+    "mlp-classes": ("mlp", _set("arch", "n_classes", value=lambda n: n + 1)),
+    "mlp-hidden": ("mlp", _set("arch", "hidden", 0, value=lambda h: h + 1)),
+    "extra-tensor": ("linearized", _set("tensors", value=lambda t: t + [
+        {"name": "extra.weight", "dtype": "f32", "shape": [0], "byte_len": 0}
+    ])),
+    "norm-mean-as-i32": ("lico", _relabel("frontend.norm_mean", "i32")),
+    "int8-bias-as-f32": ("quantized", _relabel("classifier.bias", "f32")),
 }
 
 
@@ -132,6 +153,14 @@ def test_malformed_manifest_fails_in_load_and_cli(tmp_path, capsys, case):
         load_model(path)
     assert cli_main(["info", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_an_edit_the_tensors_bear_out_still_loads(tmp_path):
+    """Dropping a residual connection leaves every tensor as it is."""
+    path = _save(tmp_path, "lico")
+    assert load_model(path).net.blocks[1].residual
+    _rewrite(path, _set("arch", "blocks", 1, "residual", value=False))
+    assert not load_model(path).net.blocks[1].residual
 
 
 def _leaf_paths(node, path=()):
