@@ -341,12 +341,12 @@ def load_model(path) -> Model:
         )
         decoder = DecoderConfig(**{f: manifest["decoder"][f] for f in _DECODER_FIELDS})
         model = Model(net, frontend, decoder, manifest["first_stride"])
-        # The tensors alone build the model: its arch and tensor entries
-        # must be the ones save_model would write for it.
+        # Saving the rebuilt model must write back the same arch and tensor
+        # entries: the manifest may state nothing that the model does not do.
         written, named = _collect(model)
         for key, want in (("arch", written["arch"]), ("tensors", [_entry(*t) for t in named])):
             if manifest[key] != want:
-                raise ManifestError(f"{key} entries are not those of the model the tensors build")
+                raise ManifestError(f"{key} entries differ from those the rebuilt model saves")
         return model
     except KeyError as exc:
         raise ManifestError(f"manifest missing field {exc}") from exc
