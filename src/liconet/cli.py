@@ -122,12 +122,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _step_through(engine, stream, t: int) -> np.ndarray:
-    return np.concatenate(
-        [engine.step_array(stream[:, j : j + t]) for j in range(0, stream.shape[1], t)], axis=1
-    )
-
-
 def _cmd_verify(args) -> int:
     model = load_model(args.model)
     net = model.net
@@ -140,12 +134,12 @@ def _cmd_verify(args) -> int:
     held_out = np.random.default_rng([args.seed, 1]).normal(0.0, 1.0, size=size)
 
     # The linearized pipeline is stepped as `linearize` writes it and `run` reads it.
-    conv_out = _step_through(make_engine(model, "conv"), stream, t)
+    conv_out = make_engine(model, "conv").step_array(stream)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "linear.lcn"
         save_model(Model(linearize_network(net, t), model.frontend, model.decoder, t), path)
         lin_eng = make_engine(load_model(path), "linear")
-    lin_out = _step_through(lin_eng, stream, t)
+    lin_out = lin_eng.step_array(stream)
 
     pad = model.receptive_field - t
     padded = np.concatenate([np.zeros((net.input_features, pad)), stream], axis=1)
@@ -157,7 +151,7 @@ def _cmd_verify(args) -> int:
     # Calibrated on the seeded stream, int8 drift is measured on a held-out one.
     qnet = quantize_network(lin_eng, calibrate_activations(lin_eng, Tensor2D(stream)))
     lin_eng.reset()
-    pairs = zip(_step_through(lin_eng, held_out, t).T, _step_through(qnet, held_out, t).T)
+    pairs = zip(lin_eng.step_array(held_out).T, qnet.step_array(held_out).T)
     drift = sum(np.abs(softmax(f) - softmax(q)) for f, q in pairs)
     dev_quant = float(np.max(drift / args.steps))
 

@@ -12,12 +12,13 @@ Windows flatten channel-major, x~[c*K + k] = window[c][k]. A stage
 advances a state over new input columns by appending them to its history,
 handing every (C, K) window at its stride to its operator as one (n, C*K)
 matrix (`windows`, which frames the frontend's audio too), and keeping
-the newest columns as the next history. A step feeds
-one first-layer stride of frames and emits one column per stage. Priming
-takes each stage's history from the head of that stage's input and
-advances over the rest, so a following step picks up exactly where a
-batch pass over the prefix would. Calibration reads each stage's output
-from the same loop.
+the newest columns as the next history. A step feeds one first-layer
+stride of frames and emits one column per stage; `step_array` takes any
+whole number of steps, in one pass where the operators sum exactly and one
+pass per step where they do not. Priming takes each stage's history from
+the head of that stage's input and advances over the rest, so a following
+step picks up exactly where a batch pass over the prefix would.
+Calibration reads each stage's output from the same loop.
 
 An operator (a DenseOperator) supplies the arithmetic: `LinearLayer` in
 float64 and `quantize.QuantizedLinearLayer` in int8, whose columns hold
@@ -55,7 +56,14 @@ class DenseOperator:
     the input columns of the operator source. encode maps float input
     columns to what the windows hold, in which a zero column is 0, and
     decode maps output columns back to float; here they are float columns.
+
+    EXACT_SUMS says whether forward gives the same bits for a window
+    whatever other windows share its call. Float sums round, and a GEMM
+    over n windows may sum in another order than n GEMVs, so a float
+    operator takes one step's windows at a time.
     """
+
+    EXACT_SUMS = False
 
     def _store(self, w: np.ndarray, b: np.ndarray) -> None:
         """Check the layout and activation, then keep w and b read-only."""
@@ -266,13 +274,25 @@ class Pipeline:
             outputs.append(cols)
         return outputs
 
-    def step_array(self, chunk: np.ndarray) -> np.ndarray:
-        """One step on (input_features, chunk_size) frames; one column of logits."""
-        if chunk.shape != (self.input_features, self.chunk_size):
-            raise ShapeError(
-                f"chunk shape {chunk.shape} != ({self.input_features}, {self.chunk_size})"
-            )
-        return self.stages[-1].op.decode(self.run(chunk)[-1])
+    def step_array(self, frames: np.ndarray) -> np.ndarray:
+        """Steps on (input_features, n * chunk_size) frames, n >= 1; one
+        column of logits per step.
+
+        Operators with exact sums run all n steps in one pass; float ones
+        run one pass per step, so a step's logits have the same bits
+        however many steps share the call.
+        """
+        t = self.chunk_size
+        shape = frames.shape
+        if len(shape) != 2 or shape[0] != self.input_features or shape[1] < t or shape[1] % t:
+            raise ShapeError(f"frames shape {shape} != ({self.input_features}, n * {t}), n >= 1")
+        width = shape[1]
+        decode = self.stages[-1].op.decode
+        if width == t or all(st.op.EXACT_SUMS for st in self.stages):
+            return decode(self.run(frames)[-1])
+        return np.concatenate(
+            [decode(self.run(frames[:, j : j + t])[-1]) for j in range(0, width, t)], axis=1
+        )
 
     def prime_array(self, prefix: np.ndarray):
         """Warm-start every history as if the prefix had already streamed.

@@ -43,6 +43,10 @@ MAX_IN_DIM = 16384
 class QuantizedLinearLayer(DenseOperator):
     """int8 dense operator with pre-scaled int32 bias over zero-point-free codes."""
 
+    # Every window's sum is an integer below 2**31 (MAX_IN_DIM), so float64
+    # holds each partial sum exactly and BLAS may sum in any order.
+    EXACT_SUMS = True
+
     weights: np.ndarray  # int8, (in_dim, out_dim)
     bias: np.ndarray  # int32, (out_dim,)
     weight_params: QuantParams
@@ -64,16 +68,33 @@ class QuantizedLinearLayer(DenseOperator):
 
     def forward(self, windows, residual=None, source=None) -> np.ndarray:
         """Codes to codes. The residual, in source's in_params, is rescaled
-        to this layer's out_params and added before the final clip."""
-        acc = windows @ self._w64 + self.bias
-        z = apply_activation_array(round_half_away(acc.T * self._m), self.activation)
-        if residual is not None:
-            z = z + round_half_away(residual * (source.in_params.scale / self.out_params.scale))
+        to this layer's out_params and added before the final clip.
+
+        Without a residual, relu and the clip's lower bound are one bound:
+        0 >= QMIN - zero_point, and on z >= 0 rounding half away is
+        floor(z + 0.5)."""
+        z = windows @ self._w64
+        z += self.bias
+        z *= self._m
+        z = z.T
         zp = self.out_params.zero_point
-        return np.clip(z, QMIN - zp, QMAX - zp)
+        lo = QMIN - zp
+        if residual is None and self.activation == "relu":
+            z += 0.5
+            np.floor(z, out=z)
+            lo = 0
+        else:
+            z = apply_activation_array(round_half_away(z), self.activation)
+            if residual is not None:
+                z += round_half_away(residual * (source.in_params.scale / self.out_params.scale))
+        np.maximum(z, lo, out=z)
+        return np.minimum(z, QMAX - zp, out=z)
 
     def encode(self, x: np.ndarray) -> np.ndarray:
-        return quantize_array(x, self.in_params).astype(np.float64) - self.in_params.zero_point
+        zp = self.in_params.zero_point
+        q = round_half_away(x / self.in_params.scale)
+        np.maximum(q, QMIN - zp, out=q)
+        return np.minimum(q, QMAX - zp, out=q)
 
     def decode(self, y: np.ndarray) -> np.ndarray:
         return y * self.out_params.scale + 0.0  # + 0.0 turns the -0.0 of rounding into 0.0

@@ -9,8 +9,13 @@ linearization gate; the plan's geometry was checked when the model was
 built or loaded, so an engine does not check it again. A stream primes on
 the first receptive_field - stride feature frames (never negative, and on
 the stride grid, so the first emitted posterior has a fully real context
-and step k equals batch column k), then steps once per chunk. A stream of
-F frames therefore yields floor((F - RF) / s1) + 1 posteriors.
+and step k equals batch column k), then hands the engine every complete
+stride of frames it holds, at most _MAX_PASS_STEPS per call; softmax and
+the decoder still run once per step. The int8 engine runs such a call in
+one pass and the float engines one stride at a time (see
+Pipeline.step_array), so results have the same bits however the PCM is
+split. A stream of F frames therefore yields floor((F - RF) / s1) + 1
+posteriors.
 """
 
 from __future__ import annotations
@@ -34,6 +39,9 @@ _ENGINE_KINDS = {
     "int8": (("quantized",), "a quantized model"),
 }
 ENGINES = tuple(_ENGINE_KINDS)
+# The most steps one step_array call takes, which bounds its temporaries:
+# a 60 s push in one pass would raise the peak memory by about two thirds.
+_MAX_PASS_STEPS = 256
 
 
 def read_wav(path, expected_rate: int = 16000) -> np.ndarray:
@@ -53,7 +61,12 @@ def read_wav(path, expected_rate: int = 16000) -> np.ndarray:
             raise InvalidInputError(
                 f"need {expected_rate} Hz audio, got {w.getframerate()} Hz (no resampling)"
             )
-        data = w.readframes(w.getnframes())
+        n = w.getnframes()
+        data = w.readframes(n)
+    if len(data) != 2 * n:
+        raise InvalidInputError(
+            f"{path} is truncated: its data chunk declares {2 * n} bytes, holds {len(data)}"
+        )
     return np.frombuffer(data, dtype="<i2").astype(np.int16)
 
 
@@ -124,11 +137,13 @@ def run_stream(model: Model, pcm_chunks, engine: str = "linear", threshold: floa
             pending = pending[:, prime_len:]
             primed = True
         while pending.shape[1] >= t:
-            logits = eng.step_array(pending[:, :t])
-            pending = pending[:, t:]
-            frame_idx = prime_len + (step + 1) * t - 1
-            time_s = (frame_idx * cfg.hop_samples + cfg.window_samples) / cfg.sample_rate
-            posterior = posterior_from_logits(step, logits)
-            smoothed, score, event = decoder.update(posterior)
-            yield StepResult(step, time_s, posterior, smoothed, score, event)
-            step += 1
+            width = min(pending.shape[1] // t, _MAX_PASS_STEPS) * t
+            logits = eng.step_array(pending[:, :width])
+            pending = pending[:, width:]
+            for column in logits.T:
+                frame_idx = prime_len + (step + 1) * t - 1
+                time_s = (frame_idx * cfg.hop_samples + cfg.window_samples) / cfg.sample_rate
+                posterior = posterior_from_logits(step, column)
+                smoothed, score, event = decoder.update(posterior)
+                yield StepResult(step, time_s, posterior, smoothed, score, event)
+                step += 1

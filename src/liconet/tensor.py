@@ -24,7 +24,7 @@ def round_half_away(x):
     round-half-even and would not match hand-computed expectations.
     """
     x = np.asarray(x)
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    return np.trunc(x + np.copysign(0.5, x))
 
 
 class Tensor2D:

@@ -168,3 +168,25 @@ def test_verify_rejects_fewer_than_one_step_as_a_usage_error(tmp_path, capsys, s
         cli_main(["verify", path, "--steps", steps])
     assert exc.value.code == 2
     assert "--steps: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_bytes", [45, 46, 1043], ids=["mid-sample", "one-sample", "half-data"])
+def test_run_and_quantize_reject_a_wav_whose_data_chunk_ends_early(tmp_path, capsys, n_bytes):
+    """The first n bytes of a 1,000-sample file whose header is 44 bytes."""
+    import numpy as np
+
+    from liconet.runtime import write_wav
+
+    model, wav = str(tmp_path / "model.lcn"), tmp_path / "cut.wav"
+    write_wav(wav, np.zeros(1000, dtype=np.int16))
+    assert len(wav.read_bytes()) == 44 + 2000
+    wav.write_bytes(wav.read_bytes()[:n_bytes])
+    assert cli_main(["init", "--arch", "mlp", "--preset", "small", "--out", model]) == 0
+    for argv in (["run", model, "--wav", str(wav)],
+                 ["quantize", model, "--calib", str(wav), "--out", str(tmp_path / "q.lcn")]):
+        capsys.readouterr()
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {wav} is truncated: its data chunk declares 2000 bytes, "
+            f"holds {n_bytes - 44}\n"
+        )

@@ -28,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liconet.errors import ShapeError
 from liconet.linearize import linearize_network
 from liconet.model import build_lico_net, build_mlp, network_forward, receptive_field
 from liconet.modelfile import default_model, load_model, save_model
@@ -306,3 +307,41 @@ def test_calibration_and_quantization_leave_the_stream_alone(case, n_steps, seed
     quantize_network(lnet, calibrate_activations(lnet, Tensor2D(rng.normal(size=x.shape))))
     chunk = rng.normal(size=(net.input_features, t))
     np.testing.assert_array_equal(lnet.step_array(chunk), before.step_array(chunk))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=nets_with_stride(), n_steps=st.integers(1, 12), seed=st.integers(0, 2**30))
+def test_one_call_over_n_strides_equals_n_single_stride_calls(case, n_steps, seed):
+    """Bit for bit on every engine, primed, and for the step after it."""
+    net, t = case
+    rng = np.random.default_rng(seed)
+    lnet = linearize_network(net, t)
+    calib = Tensor2D(rng.normal(size=(net.input_features, 4 * t)))
+    qnet = quantize_network(lnet, calibrate_activations(lnet, calib))
+    models = {
+        "conv": default_model(net, first_stride=t),
+        "linear": default_model(lnet),
+        "int8": default_model(qnet),
+    }
+    prime = receptive_field(net, t) - t
+    x = 2 * rng.normal(size=(net.input_features, prime + (n_steps + 1) * t))
+    body, last = x[:, prime:-t], x[:, -t:]
+    for engine, model in models.items():
+        whole, single = make_engine(model, engine), make_engine(model, engine)
+        whole.prime_array(x[:, :prime])
+        single.prime_array(x[:, :prime])
+        assert whole.step_array(body).tobytes() == _step_all(single, body, t).tobytes()
+        assert whole.step_array(last).tobytes() == single.step_array(last).tobytes()
+
+
+@pytest.mark.parametrize(
+    "kind, engine", [("lico", "conv"), ("linearized", "linear"), ("quantized", "int8")]
+)
+def test_step_array_rejects_frames_that_are_not_whole_strides(kind, engine):
+    model = _models()[kind]
+    eng = make_engine(model, engine)
+    assert model.first_stride == 2
+    for shape in [(3, 0), (3, 1), (3, 3), (3, 5), (2, 2), (4, 4), (6,), (1, 3, 2)]:
+        with pytest.raises(ShapeError):
+            eng.step_array(np.zeros(shape))
+    assert eng.step_array(np.zeros((3, 6))).shape == (3, 3)

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from liconet.cli import main as cli_main
 from liconet.decoder import softmax
 from liconet.frontend import FeatureStream
+from liconet.linearize import linearize_network
 from liconet.model import build_lico_net, build_mlp, network_forward
-from liconet.modelfile import default_model, load_model, save_model
+from liconet.modelfile import Model, default_model, load_model, save_model
+from liconet.quantize import calibrate_activations, quantize_network
 from liconet.runtime import run_stream
 from liconet.tensor import Tensor2D
 
@@ -73,13 +75,13 @@ SPLIT_MODELS = {
 SPLIT_PCM = np.random.default_rng(5).normal(0.0, 0.2, size=12000)
 
 
-def _results(model, chunks):
+def _results(model, chunks, engine="linear"):
     """Every field of each StepResult, probabilities as raw bytes; the low
     threshold makes events fire."""
     return [
         (r.step, r.time_s, r.posterior.timestamp, r.posterior.probs.tobytes(),
          r.smoothed.timestamp, r.smoothed.probs.tobytes(), r.score, r.event)
-        for r in run_stream(model, chunks, engine="linear", threshold=0.05)
+        for r in run_stream(model, chunks, engine=engine, threshold=0.05)
     ]
 
 
@@ -95,3 +97,48 @@ def test_step_results_do_not_depend_on_how_the_pcm_is_split(name, cuts):
     whole = WHOLE_RESULTS[name]
     assert any(event is not None for *_, event in whole)
     assert _results(SPLIT_MODELS[name], np.split(SPLIT_PCM, sorted(cuts))) == whole
+
+
+def _quantized(model):
+    """The model linearized and quantized, calibrated on audio of its own seed."""
+    lnet = linearize_network(model.net, model.first_stride)
+    pcm = np.random.default_rng(6).normal(0.0, 0.2, size=8000)
+    calib = Tensor2D(FeatureStream(model.frontend).push(pcm))
+    qnet = quantize_network(lnet, calibrate_activations(lnet, calib))
+    return Model(qnet, model.frontend, model.decoder, model.first_stride)
+
+
+SPLIT_INT8_MODELS = {name: _quantized(m) for name, m in SPLIT_MODELS.items()}
+WHOLE_INT8_RESULTS = {
+    name: _results(m, [SPLIT_PCM], engine="int8") for name, m in SPLIT_INT8_MODELS.items()
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SPLIT_INT8_MODELS)),
+    cuts=st.lists(st.integers(0, SPLIT_PCM.size), max_size=8),
+)
+def test_int8_step_results_do_not_depend_on_how_the_pcm_is_split(name, cuts):
+    """A push of many strides runs through int8 in one pass; the bytes must
+    not depend on how many strides a push completes."""
+    whole = WHOLE_INT8_RESULTS[name]
+    assert any(event is not None for *_, event in whole)
+    chunks = np.split(SPLIT_PCM, sorted(cuts))
+    assert _results(SPLIT_INT8_MODELS[name], chunks, engine="int8") == whole
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_INT8_MODELS))
+def test_int8_10ms_pushes_match_one_whole_push(name):
+    pushes = np.split(SPLIT_PCM, range(160, SPLIT_PCM.size, 160))
+    assert _results(SPLIT_INT8_MODELS[name], pushes, engine="int8") == WHOLE_INT8_RESULTS[name]
+
+
+def test_int8_push_of_more_steps_than_one_pass_takes():
+    """3.2 s at stride 1 is about 300 steps, more than run_stream hands the
+    engine at once."""
+    model = SPLIT_INT8_MODELS["mlp-s1"]
+    pcm = np.random.default_rng(8).normal(0.0, 0.2, size=51200)
+    whole = _results(model, [pcm], engine="int8")
+    assert len(whole) > 256
+    assert _results(model, np.split(pcm, range(160, pcm.size, 160)), engine="int8") == whole

@@ -46,6 +46,16 @@ class TestRounding:
         got = round_half_away(np.array([0.5, -0.5, 1.5, -1.5, 2.4, -2.6, 0.0]))
         np.testing.assert_array_equal(got, [1, -1, 2, -2, 2, -3, 0])
 
+    def test_matches_the_sign_floor_formula_by_value(self):
+        """Ties, signed zeros and magnitudes near 2**52, where x + 0.5 rounds."""
+        big = [2.0**52 + d for d in (-1.5, -1.0, -0.5, 0.0, 1.0, 2.0)] + [2.0**53, 2.0**53 + 2]
+        ties = [k + 0.5 for k in range(-6, 6)]
+        near = [0.49999999999999994, 1.4999999999999998, 2.5000000000000004]
+        x = np.array(big + ties + near + [0.0, -0.0, 1e-300, -1e-300])
+        x = np.concatenate([x, -x])
+        old = np.sign(x) * np.floor(np.abs(x) + 0.5)
+        np.testing.assert_array_equal(round_half_away(x), old)
+
 
 class TestQuantizeDequantize:
     def test_zero_maps_to_zero_point(self):
