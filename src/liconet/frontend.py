@@ -150,7 +150,7 @@ class FeatureStream:
             power = spectrum.real**2 + spectrum.imag**2
             # One GEMV per frame, as a single frame gets: a GEMM would sum
             # in another order, so frames would depend on the push size.
-            energies = np.matmul(cfg.mel_bank, power[:, :, None])[:, :, 0]
+            energies = np.matvec(cfg.mel_bank, power)
             blocks.append(((np.log(energies + cfg.log_floor) - cfg.norm_mean) / cfg.norm_std).T)
             buf = buf[len(frames) * hop :]
         self._buffer = buf.copy()  # not a view that keeps a long push alive

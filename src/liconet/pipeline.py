@@ -14,10 +14,11 @@ handing every (C, K) window at its stride to its operator as one (n, C*K)
 matrix (`windows`, which frames the frontend's audio too), and keeping
 the newest columns as the next history. A step feeds one first-layer
 stride of frames and emits one column per stage; `step_array` takes any
-whole number of steps, in one pass where the operators sum exactly and one
-pass per step where they do not. Priming takes each stage's history from
-the head of that stage's input and advances over the rest, so a following
-step picks up exactly where a batch pass over the prefix would.
+whole number of steps in one pass. Each operator gives a window the same
+bits whatever other windows share its call, so a step's logits do not
+depend on how many steps run together. Priming takes each stage's history
+from the head of that stage's input and advances over the rest, so a
+following step picks up exactly where a batch pass over the prefix would.
 Calibration reads each stage's output from the same loop.
 
 An operator (a DenseOperator) supplies the arithmetic: `LinearLayer` in
@@ -57,13 +58,9 @@ class DenseOperator:
     columns to what the windows hold, in which a zero column is 0, and
     decode maps output columns back to float; here they are float columns.
 
-    EXACT_SUMS says whether forward gives the same bits for a window
-    whatever other windows share its call. Float sums round, and a GEMM
-    over n windows may sum in another order than n GEMVs, so a float
-    operator takes one step's windows at a time.
+    forward gives each window the same bits whatever other windows share
+    its call, so one pass over n steps equals n passes of one step.
     """
-
-    EXACT_SUMS = False
 
     def _store(self, w: np.ndarray, b: np.ndarray) -> None:
         """Check the layout and activation, then keep w and b read-only."""
@@ -114,8 +111,12 @@ class LinearLayer(DenseOperator):
         self._store(w, b)
 
     def forward(self, windows, residual=None, source=None) -> np.ndarray:
-        """Float columns carry no scale, so source is unused."""
-        out = apply_activation_array(windows @ self.weights + self.bias, self.activation).T
+        """Float columns carry no scale, so source is unused.
+
+        Each window is its own GEMV: a GEMM over n windows would sum in
+        another order than one window alone, and so round differently."""
+        z = np.vecmat(windows, self.weights) + self.bias
+        out = apply_activation_array(z, self.activation).T
         return out if residual is None else out + residual
 
 
@@ -276,23 +277,13 @@ class Pipeline:
 
     def step_array(self, frames: np.ndarray) -> np.ndarray:
         """Steps on (input_features, n * chunk_size) frames, n >= 1; one
-        column of logits per step.
-
-        Operators with exact sums run all n steps in one pass; float ones
-        run one pass per step, so a step's logits have the same bits
-        however many steps share the call.
-        """
+        column of logits per step, with the same bits however many steps
+        share the call."""
         t = self.chunk_size
         shape = frames.shape
         if len(shape) != 2 or shape[0] != self.input_features or shape[1] < t or shape[1] % t:
             raise ShapeError(f"frames shape {shape} != ({self.input_features}, n * {t}), n >= 1")
-        width = shape[1]
-        decode = self.stages[-1].op.decode
-        if width == t or all(st.op.EXACT_SUMS for st in self.stages):
-            return decode(self.run(frames)[-1])
-        return np.concatenate(
-            [decode(self.run(frames[:, j : j + t])[-1]) for j in range(0, width, t)], axis=1
-        )
+        return self.stages[-1].op.decode(self.run(frames)[-1])
 
     def prime_array(self, prefix: np.ndarray):
         """Warm-start every history as if the prefix had already streamed.

@@ -41,11 +41,12 @@ MAX_IN_DIM = 16384
 
 @dataclass(frozen=True)
 class QuantizedLinearLayer(DenseOperator):
-    """int8 dense operator with pre-scaled int32 bias over zero-point-free codes."""
+    """int8 dense operator with pre-scaled int32 bias over zero-point-free codes.
 
-    # Every window's sum is an integer below 2**31 (MAX_IN_DIM), so float64
-    # holds each partial sum exactly and BLAS may sum in any order.
-    EXACT_SUMS = True
+    Every window's sum is an integer below 2**31 (MAX_IN_DIM), so float64
+    holds each partial sum exactly and forward takes all windows in one
+    GEMM: a window gets the same bits whatever windows share the call.
+    """
 
     weights: np.ndarray  # int8, (in_dim, out_dim)
     bias: np.ndarray  # int32, (out_dim,)

@@ -11,10 +11,10 @@ the first receptive_field - stride feature frames (never negative, and on
 the stride grid, so the first emitted posterior has a fully real context
 and step k equals batch column k), then hands the engine every complete
 stride of frames it holds, at most _MAX_PASS_STEPS per call; softmax and
-the decoder still run once per step. The int8 engine runs such a call in
-one pass and the float engines one stride at a time (see
-Pipeline.step_array), so results have the same bits however the PCM is
-split. A stream of F frames therefore yields floor((F - RF) / s1) + 1
+the decoder still run once per step. Every engine runs such a call in one
+pass whose steps have the same bits as one step at a time (see
+Pipeline.step_array), so results do not depend on how the PCM is split.
+A stream of F frames therefore yields floor((F - RF) / s1) + 1
 posteriors.
 """
 
@@ -52,14 +52,14 @@ def read_wav(path, expected_rate: int = 16000) -> np.ndarray:
         raise InvalidInputError(f"{path} is not a WAV file: {exc or 'header ends early'}") from exc
     with w:
         if w.getcomptype() != "NONE":
-            raise InvalidInputError(f"compressed WAV ({w.getcomptype()}) not supported")
+            raise InvalidInputError(f"{path}: compressed WAV ({w.getcomptype()}) not supported")
         if w.getsampwidth() != 2:
-            raise InvalidInputError(f"need 16-bit PCM, got {8 * w.getsampwidth()}-bit")
+            raise InvalidInputError(f"{path}: need 16-bit PCM, got {8 * w.getsampwidth()}-bit")
         if w.getnchannels() != 1:
-            raise InvalidInputError(f"need mono audio, got {w.getnchannels()} channels")
+            raise InvalidInputError(f"{path}: need mono audio, got {w.getnchannels()} channels")
         if w.getframerate() != expected_rate:
             raise InvalidInputError(
-                f"need {expected_rate} Hz audio, got {w.getframerate()} Hz (no resampling)"
+                f"{path}: need {expected_rate} Hz audio, got {w.getframerate()} Hz (no resampling)"
             )
         n = w.getnframes()
         data = w.readframes(n)

@@ -190,3 +190,37 @@ def test_run_and_quantize_reject_a_wav_whose_data_chunk_ends_early(tmp_path, cap
             f"error: {wav} is truncated: its data chunk declares 2000 bytes, "
             f"holds {n_bytes - 44}\n"
         )
+
+
+def _wav_bytes(channels, width, rate):
+    """A 200-frame PCM WAV file of the given layout."""
+    import io
+    import wave
+
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as w:
+        w.setnchannels(channels)
+        w.setsampwidth(width)
+        w.setframerate(rate)
+        w.writeframes(bytes(200 * channels * width))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "layout, message",
+    [
+        ((2, 2, 16000), "need mono audio, got 2 channels"),
+        ((1, 1, 16000), "need 16-bit PCM, got 8-bit"),
+        ((1, 2, 8000), "need 16000 Hz audio, got 8000 Hz (no resampling)"),
+    ],
+    ids=["stereo", "8-bit", "8-kHz"],
+)
+def test_run_and_quantize_name_the_wav_whose_format_they_reject(tmp_path, capsys, layout, message):
+    model, wav = str(tmp_path / "model.lcn"), tmp_path / "other.wav"
+    wav.write_bytes(_wav_bytes(*layout))
+    assert cli_main(["init", "--arch", "mlp", "--preset", "small", "--out", model]) == 0
+    for argv in (["run", model, "--wav", str(wav)],
+                 ["quantize", model, "--calib", str(wav), "--out", str(tmp_path / "q.lcn")]):
+        capsys.readouterr()
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == f"error: {wav}: {message}\n"

@@ -25,14 +25,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liconet.errors import ShapeError
 from liconet.linearize import linearize_network
 from liconet.model import build_lico_net, build_mlp, network_forward, receptive_field
 from liconet.modelfile import default_model, load_model, save_model
-from liconet.pipeline import Pipeline, PipelineStage
+from liconet.pipeline import LinearLayer, Pipeline, PipelineStage
 from liconet.quantize import (
     MAX_IN_DIM,
     CalibrationRanges,
@@ -345,3 +345,48 @@ def test_step_array_rejects_frames_that_are_not_whole_strides(kind, engine):
         with pytest.raises(ShapeError):
             eng.step_array(np.zeros(shape))
     assert eng.step_array(np.zeros((3, 6))).shape == (3, 3)
+
+
+def _split_case(kind, in_dim, out_dim, n, activation, rng):
+    """An operator with random weights, n windows for it and residual
+    columns in its output encoding; int8 ones hold codes minus zero point."""
+    if kind == "float":
+        op = LinearLayer(rng.normal(size=(in_dim, out_dim)), rng.normal(size=out_dim), activation)
+        return op, rng.normal(size=(n, in_dim)), rng.normal(size=(out_dim, n))
+    out_scale = 0.01 * 0.05 * 127 * 60 * np.sqrt(in_dim) / 64  # most outputs miss the clip
+    op = QuantizedLinearLayer(
+        rng.integers(-127, 128, (in_dim, out_dim)),
+        rng.integers(-(2**20), 2**20, out_dim),
+        QuantParams(0.01),
+        QuantParams(0.05, -3),
+        QuantParams(out_scale, 7),
+        activation,
+    )
+    win = rng.integers(-125, 131, (n, in_dim)).astype(np.float64)
+    return op, win, rng.integers(-125, 131, (out_dim, n)).astype(np.float64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    in_dim=st.integers(1, 900),
+    out_dim=st.integers(1, 96),
+    n=st.integers(1, 300),
+    relu=st.booleans(),
+    seed=st.integers(0, 2**30),
+)
+@example(in_dim=200, out_dim=32, n=300, relu=False, seed=0)
+@example(in_dim=192, out_dim=32, n=256, relu=True, seed=1)
+@example(in_dim=840, out_dim=80, n=300, relu=True, seed=2)
+def test_forward_over_n_windows_equals_n_split_calls(in_dim, out_dim, n, relu, seed):
+    """Bit for bit on both operators, with and without a residual; an
+    int8 residual is in the operator's own in_params."""
+    rng = np.random.default_rng(seed)
+    for kind in ("float", "int8"):
+        op, win, res = _split_case(kind, in_dim, out_dim, n, "relu" if relu else "none", rng)
+        for residual in (None, res):
+            whole = op.forward(win, residual, op)
+            assert whole.shape == (out_dim, n)
+            for j in range(n):
+                r = None if residual is None else residual[:, j : j + 1]
+                single = op.forward(win[j : j + 1], r, op)
+                assert whole[:, j].tobytes() == single[:, 0].tobytes(), (kind, residual is None, j)
