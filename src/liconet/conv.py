@@ -57,10 +57,9 @@ class Conv1DLayer:
             raise ConfigError(f"activation must be one of {ACTIVATIONS}")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise ShapeError("weights and bias must be finite")
-        w.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bias", b)
+        for name, arr in (("weights", w), ("bias", b)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def out_channels(self) -> int:

@@ -5,10 +5,16 @@ The detection score over a window of smoothed posteriors is the geometric
 mean of each keyword class's maximum within the window, clamped to [0, 1].
 Events fire on an upward threshold crossing and are then suppressed for
 one full window (refractory period).
+
+Softmax and the decoder run on blocks of steps, and one step is a block of
+one (as streaming and whole-input inference are two forms of one model in
+Rybakov et al. 2020, arXiv:2005.06720). Each sum runs over one step's own
+row or window, so no bit depends on how the steps are split into blocks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,34 +22,55 @@ import numpy as np
 from .errors import ConfigError, InvalidInputError
 
 
+def _least(a):
+    """The smallest element, NaN if any is; cheaper than a reduction."""
+    return a.item(a.argmin())
+
+
 @dataclass(frozen=True)
 class PosteriorFrame:
-    """Class probabilities at one inference step."""
+    """Class probabilities at one inference step, (C,), or at the steps
+    from `timestamp` on, (n, C) with one row per step."""
 
     timestamp: int
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.ascontiguousarray(np.asarray(self.probs, dtype=np.float64))
-        if p.ndim != 1 or p.size < 1:
-            raise InvalidInputError(f"probs must be a 1D vector, got shape {p.shape}")
-        if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-6):  # false for NaN and inf
+        p = np.ascontiguousarray(self.probs, dtype=np.float64)
+        if not 1 <= p.ndim <= 2 or p.size < 1:
+            raise InvalidInputError(f"probs must be (C,) or (n, C), got shape {p.shape}")
+        sums = np.add.reduce(p, axis=-1)  # inf for an inf row; NaN fails every comparison
+        top = sums.item(sums.argmax())
+        if not (_least(p) >= 0 and _least(sums) >= 1 - 1e-6 and top <= 1 + 1e-6):
             raise InvalidInputError("probs must be finite, non-negative and sum to 1")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
+    def frames(self) -> list:
+        """A block's steps as one-step frames that share its checked rows."""
+        if self.probs.ndim == 1:
+            return [self]
+        frames = []
+        for k, row in enumerate(self.probs, self.timestamp):
+            frames.append(frame := object.__new__(PosteriorFrame))
+            frame.__dict__.update(timestamp=k, probs=row)
+        return frames
+
 
 def softmax(logits) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64).reshape(-1)
-    if not np.isfinite(z).all():
+    """Probabilities of (C,) logits, or of each row of (n, C) logits."""
+    z = np.array(logits, dtype=np.float64, order="C", ndmin=1)
+    if not _least(np.isfinite(z)):
         raise InvalidInputError("logits must be finite")
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    return z
 
 
 def posterior_from_logits(timestamp: int, logits) -> PosteriorFrame:
-    return PosteriorFrame(timestamp, softmax(logits))
+    """A frame of (C,) logits, or of (C, n) logits with one column per step."""
+    return PosteriorFrame(timestamp, softmax(np.asarray(logits).T))
 
 
 @dataclass(frozen=True)
@@ -82,8 +109,8 @@ class DecoderConfig:
             raise ConfigError("keyword class ids must be distinct")
         if min(self.keyword_ids) < 0:
             raise ConfigError("keyword class ids must be non-negative")
-        if self.threshold < 0:
-            raise ConfigError("threshold must be non-negative")
+        if not self.threshold >= 0 or not math.isfinite(self.threshold):
+            raise ConfigError(f"threshold must be finite and non-negative, got {self.threshold}")
 
     @classmethod
     def default(cls, n_classes: int, first_stride: int, threshold: float = 0.5) -> "DecoderConfig":
@@ -91,57 +118,86 @@ class DecoderConfig:
         inference stride; classes 0 and 1 are reserved for SIL and FILLER
         when there are enough classes.
         """
-        if n_classes >= 3:
-            ids = tuple(range(2, n_classes))
-        else:
-            ids = (n_classes - 1,)
-        return cls(
-            window_steps=max(1, 110 // first_stride),
-            smooth_steps=max(1, 10 // first_stride),
-            keyword_ids=ids,
-            threshold=threshold,
-        )
+        ids = tuple(range(2, n_classes)) if n_classes >= 3 else (n_classes - 1,)
+        return cls(max(1, 110 // first_stride), max(1, 10 // first_stride), ids, threshold)
 
 
 class KeywordDecoder:
     """Stateful smoothing + scoring + event emission over a posterior stream.
 
-    The state is two rings, zeroed at the first frame and written one row
-    per step: raw posteriors (smooth_steps rows) and smoothed keyword
-    probabilities (window_steps rows). A zero row changes neither a sum of
-    probabilities nor their maximum, so neither ring tracks how full it is.
+    update takes one step or a block of steps. The state carried between
+    calls is the last smooth_steps - 1 posteriors and window_steps - 1
+    smoothed keyword probabilities, class-major and zero before the first
+    step (a zero changes neither a sum of probabilities nor their
+    maximum), the previous score and the refractory count.
     """
 
     def __init__(self, cfg: DecoderConfig):
         self.cfg = cfg
-        self._keywords = list(cfg.keyword_ids)
+        self._keywords = np.array(cfg.keyword_ids, dtype=np.intp)
         self.reset()
 
     def reset(self):
-        """Forget every frame: the next update starts from zeroed rings."""
-        self._steps = 0
+        """Forget every frame: the next update starts from zeroed state."""
+        self._steps = self._refractory = 0
         self._prev_score = 0.0
-        self._refractory = 0
+        self._raw = None  # made at the first frame, which gives the class count
+        self._window = np.zeros((self._keywords.size, self.cfg.window_steps - 1))
 
     def update(self, frame: PosteriorFrame):
-        """Returns (smoothed frame, window score, event or None)."""
-        cfg = self.cfg
-        if self._steps == 0:
-            self._raw = np.zeros((cfg.smooth_steps, frame.probs.size))
-            self._window = np.zeros((cfg.window_steps, len(self._keywords)))
-        self._raw[self._steps % cfg.smooth_steps] = frame.probs
-        mean = self._raw.sum(axis=0) / min(self._steps + 1, cfg.smooth_steps)
-        smoothed = PosteriorFrame(frame.timestamp, mean)
-        self._window[self._steps % cfg.window_steps] = smoothed.probs[self._keywords]
-        self._steps += 1
-        maxima = self._window.max(axis=0)
-        score = 0.0 if np.any(maxima <= 0.0) else float(np.exp(np.log(maxima).mean()))
-        score = min(max(score, 0.0), 1.0)
-        event = None
-        if self._refractory > 0:
-            self._refractory -= 1
-        elif self._prev_score < cfg.threshold <= score:
-            event = DetectionEvent(frame.timestamp, score)
-            self._refractory = cfg.window_steps
-        self._prev_score = score
-        return smoothed, score, event
+        """(smoothed frame, score, event or None) for one step's frame;
+        (smoothed block frame, list of scores, list of events) for a block."""
+        if frame.probs.ndim == 2:
+            return self._block(frame.timestamp, frame.probs)
+        smoothed, scores, events = self._block(frame.timestamp, frame.probs[None])
+        return smoothed.frames()[0], scores[0], events[0] if events else None
+
+    def _block(self, t0: int, probs: np.ndarray):
+        n, s, w = len(probs), self.cfg.smooth_steps, self.cfg.window_steps
+        if self._raw is None:
+            self._raw = np.zeros((probs.shape[1], s - 1))
+        # A step's smoothed row sums its s newest posteriors, one contiguous
+        # run of columns, over how many of them are real.
+        raw = np.concatenate((self._raw, probs.T), axis=1)
+        self._raw = raw[:, n:]
+        runs = raw[:, None] if n == 1 else np.ndarray(
+            (len(raw), n, s), raw.dtype, raw, strides=raw.strides + raw.strides[1:]
+        )
+        total = np.ascontiguousarray(np.add.reduce(runs, axis=2).T)
+        first, self._steps = self._steps + 1, self._steps + n
+        total /= s if first >= s else np.minimum(np.arange(first, first + n), s)[:, None]
+        smoothed = PosteriorFrame(t0, total)
+
+        rows = np.concatenate((self._window, total.T.take(self._keywords, axis=0)), axis=1)
+        self._window = rows[:, n:]
+        maxima = np.ascontiguousarray(_window_max(rows, w).T)
+        if _least(maxima) > 0.0:
+            logs = np.log(maxima)
+        else:  # a zero maximum makes the score 0: its log is -inf
+            logs = np.log(maxima, out=np.full(maxima.shape, -np.inf), where=maxima > 0.0)
+        scores = np.exp(np.add.reduce(logs, axis=1) / len(self._keywords))
+        values = np.minimum(scores, 1.0, out=scores).tolist()
+
+        threshold = self.cfg.threshold
+        rises = [0] if self._prev_score < threshold <= values[0] else []
+        if n > 1:
+            up = scores >= threshold
+            rises += (np.flatnonzero(up[1:] > up[:-1]) + 1).tolist()
+        events, free = [], self._refractory
+        for i in rises:  # the refractory period, over the upward crossings alone
+            if i >= free:
+                events.append(DetectionEvent(t0 + i, values[i]))
+                free = i + w + 1
+        self._refractory, self._prev_score = max(free - n, 0), values[-1]
+        return smoothed, values, events
+
+
+def _window_max(rows: np.ndarray, w: int) -> np.ndarray:
+    """The maximum of every w consecutive columns: a maximum is exact in
+    any order, so spans double about log2(w) times, then two overlap."""
+    if rows.shape[1] == w:
+        return np.maximum.reduce(rows, axis=1, keepdims=True)
+    span = 1
+    while 2 * span <= w:
+        rows, span = np.maximum(rows[:, :-span], rows[:, span:]), 2 * span
+    return np.maximum(rows[:, : rows.shape[1] - (w - span)], rows[:, w - span :])

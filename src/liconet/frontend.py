@@ -57,11 +57,9 @@ class FrontendConfig:
             object.__setattr__(self, "fmax", self.sample_rate / 2.0)
         if not 0 <= self.fmin < self.fmax:
             raise ConfigError(f"bad mel range [{self.fmin}, {self.fmax}]")
-        mean = np.zeros(self.n_mels) if self.norm_mean is None else np.asarray(
-            self.norm_mean, dtype=np.float64
-        )
-        std = np.ones(self.n_mels) if self.norm_std is None else np.asarray(
-            self.norm_std, dtype=np.float64
+        mean, std = (
+            np.full(self.n_mels, fill) if v is None else np.asarray(v, dtype=np.float64)
+            for v, fill in ((self.norm_mean, 0.0), (self.norm_std, 1.0))
         )
         if mean.shape != (self.n_mels,) or std.shape != (self.n_mels,):
             raise ConfigError(f"normalization vectors must have length {self.n_mels}")

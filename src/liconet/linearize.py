@@ -52,9 +52,8 @@ def check_linearizable(net, t: int) -> LinearizabilityReport:
     time, so any positive chunk size is compliant.
     """
     if not isinstance(t, (int, np.integer)) or t < 1:
-        return LinearizabilityReport(
-            False, [("chunk", f"chunk size must be a positive integer, got {t}")]
-        )
+        why = f"chunk size must be a positive integer, got {t}"
+        return LinearizabilityReport(False, [("chunk", why)])
     if isinstance(net, MlpNet):
         return LinearizabilityReport(True)
     return check_stages(stage_plan(net), t)

@@ -27,13 +27,7 @@ import numpy as np
 
 from .conv import Conv1DLayer
 from .decoder import DecoderConfig
-from .errors import (
-    BadMagicError,
-    ConfigError,
-    ManifestError,
-    TruncatedError,
-    VersionError,
-)
+from .errors import BadMagicError, ConfigError, ManifestError, TruncatedError, VersionError
 from .frontend import FrontendConfig
 from .model import LiCoBlock, LiCoNet, MlpNet, receptive_field_of, stage_plan
 from .pipeline import LinearLayer, Pipeline, PipelineStage
@@ -56,6 +50,9 @@ _FLOAT_KINDS = {LiCoNet: "lico", MlpNet: "mlp"}
 # The configuration a manifest stores; the normalization vectors are tensors.
 _FRONTEND_FIELDS = ("sample_rate", "window_ms", "hop_ms", "n_mels", "fmin", "fmax", "log_floor")
 _DECODER_FIELDS = ("window_steps", "smooth_steps", "keyword_ids", "threshold")
+# The arch entries of a LiCo block and of a pipeline stage, read off the object.
+_BLOCK_FIELDS = ("in_channels", "width", "expansion", "kernel", "stride", "residual")
+_STAGE_FIELDS = ("name", "channels", "kernel", "stride", "captures_input", "residual_from")
 
 
 @dataclass(frozen=True)
@@ -91,13 +88,8 @@ def default_model(net, first_stride: int | None = None, threshold: float = 0.5) 
     """Wrap a bare net with identity-normalization frontend and default decoder."""
     if first_stride is None:
         first_stride = stage_plan(net)[0].stride
-    n_classes = net.n_classes
-    return Model(
-        net,
-        FrontendConfig(),
-        DecoderConfig.default(n_classes, first_stride, threshold),
-        first_stride,
-    )
+    decoder = DecoderConfig.default(net.n_classes, first_stride, threshold)
+    return Model(net, FrontendConfig(), decoder, first_stride)
 
 
 # --- manifest assembly -----------------------------------------------------
@@ -129,17 +121,7 @@ def _collect(model: Model):
         arch = {
             "input_features": net.input_features,
             "n_classes": net.n_classes,
-            "blocks": [
-                {
-                    "in_channels": b.in_channels,
-                    "width": b.width,
-                    "expansion": b.expansion,
-                    "kernel": b.kernel,
-                    "stride": b.stride,
-                    "residual": b.residual,
-                }
-                for b in net.blocks
-            ],
+            "blocks": [{f: getattr(b, f) for f in _BLOCK_FIELDS} for b in net.blocks],
         }
         layers = [
             (f"block{i}.conv{j}", layer)
@@ -168,16 +150,8 @@ def _collect(model: Model):
             "n_classes": net.n_classes,
             "chunk_size": net.chunk_size,
             "stages": [
-                {
-                    "name": s.name,
-                    "channels": s.channels,
-                    "kernel": s.kernel,
-                    "stride": s.stride,
-                    "activation": s.op.activation,
-                    "captures_input": s.captures_input,
-                    "residual_from": s.residual_from,
-                    **qparams(s.op),
-                }
+                {**{f: getattr(s, f) for f in _STAGE_FIELDS}, "activation": s.op.activation,
+                 **qparams(s.op)}
                 for s in body
             ],
         }
@@ -213,11 +187,7 @@ def save_model(model, path) -> None:
     blob = b"".join(np.ascontiguousarray(a, dtype=_DTYPES[d]).tobytes() for _, a, d in named)
     payload = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<H", VERSION))
-        f.write(struct.pack("<I", len(payload)))
-        f.write(payload)
-        f.write(blob)
+        f.write(MAGIC + struct.pack("<HI", VERSION, len(payload)) + payload + blob)
 
 
 # --- loading ---------------------------------------------------------------
@@ -243,9 +213,7 @@ def _read_tensors(manifest, blob):
                 f"tensor {name}: file ends {offset + byte_len - len(blob)} bytes early"
             )
         arr = np.frombuffer(blob[offset : offset + byte_len], dtype=_DTYPES[dtype])
-        out[name] = arr.reshape(shape).astype(
-            np.float64 if dtype == "f32" else arr.dtype
-        )
+        out[name] = arr.reshape(shape).astype(np.float64 if dtype == "f32" else arr.dtype)
         offset += byte_len
     if offset != len(blob):
         raise ManifestError(f"{len(blob) - offset} unexpected trailing bytes after tensors")
@@ -258,16 +226,11 @@ def _rebuild_net(manifest, tensors):
     if kind == "lico":
         blocks = []
         for i, spec in enumerate(arch["blocks"], start=1):
-            layers = []
-            for j, act in ((1, "relu"), (2, "relu"), (3, "none")):
-                layers.append(
-                    Conv1DLayer(
-                        tensors[f"block{i}.conv{j}.weight"],
-                        tensors[f"block{i}.conv{j}.bias"],
-                        spec["stride"] if j == 1 else 1,
-                        act,
-                    )
-                )
+            layers = [
+                Conv1DLayer(tensors[f"block{i}.conv{j}.weight"], tensors[f"block{i}.conv{j}.bias"],
+                            spec["stride"] if j == 1 else 1, act)
+                for j, act in ((1, "relu"), (2, "relu"), (3, "none"))
+            ]
             blocks.append(LiCoBlock(*layers, residual=spec["residual"]))
         w = tensors["classifier.weight"]
         classifier = Conv1DLayer(
@@ -279,9 +242,7 @@ def _rebuild_net(manifest, tensors):
             LinearLayer(tensors[f"layer{i}.weight"], tensors[f"layer{i}.bias"], "relu")
             for i in range(1, len(arch["hidden"]) + 1)
         )
-        classifier = LinearLayer(
-            tensors["classifier.weight"], tensors["classifier.bias"], "none"
-        )
+        classifier = LinearLayer(tensors["classifier.weight"], tensors["classifier.bias"], "none")
         return MlpNet(arch["input_frames"], arch["input_features"], hidden, classifier)
     if kind in _PIPELINE_KINDS:
         op_type = _PIPELINE_KINDS[kind]

@@ -39,6 +39,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, ShapeError
 
 ACTIVATIONS = ("none", "relu")
+# The most steps a caller hands one run, which bounds its temporaries: a
+# 60 s push in one pass would raise the peak memory by about two thirds.
+MAX_PASS_STEPS = 256
 
 
 def apply_activation_array(arr: np.ndarray, kind: str) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CalibrationError, ConfigError, ShapeError
-from .pipeline import DenseOperator, Pipeline, apply_activation_array
+from .pipeline import MAX_PASS_STEPS, DenseOperator, Pipeline, apply_activation_array
 from .tensor import (
     QMAX,
     QMIN,
@@ -122,8 +122,9 @@ class CalibrationRanges:
 def calibrate_activations(lnet: Pipeline, calib_stream: Tensor2D) -> CalibrationRanges:
     """Stream calibration data in float and record per-stage ranges.
 
-    Runs a fresh stream over the pipeline's stages; the caller's stream
-    state is not disturbed. The stream must cover at least one step.
+    Runs a fresh stream over the pipeline's stages, MAX_PASS_STEPS steps
+    per pass (a window's bits do not depend on the pass); the caller's
+    stream state is not disturbed. The stream must cover at least one step.
     """
     t = lnet.chunk_size
     if calib_stream.channels != lnet.input_features:
@@ -139,8 +140,8 @@ def calibrate_activations(lnet: Pipeline, calib_stream: Tensor2D) -> Calibration
     used = calib_stream.data[:, : n_steps * t]
     lo = np.full(len(ln.stages), np.inf)
     hi = -lo
-    for j in range(n_steps):
-        outs = ln.run(used[:, j * t : (j + 1) * t])
+    for j in range(0, n_steps * t, MAX_PASS_STEPS * t):
+        outs = ln.run(used[:, j : j + MAX_PASS_STEPS * t])
         lo = np.minimum(lo, [out.min() for out in outs])
         hi = np.maximum(hi, [out.max() for out in outs])
     ranges = tuple(StageRange(float(a), float(b)) for a, b in zip(lo, hi))

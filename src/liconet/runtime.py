@@ -10,10 +10,11 @@ built or loaded, so an engine does not check it again. A stream primes on
 the first receptive_field - stride feature frames (never negative, and on
 the stride grid, so the first emitted posterior has a fully real context
 and step k equals batch column k), then hands the engine every complete
-stride of frames it holds, at most _MAX_PASS_STEPS per call; softmax and
-the decoder still run once per step. Every engine runs such a call in one
-pass whose steps have the same bits as one step at a time (see
-Pipeline.step_array), so results do not depend on how the PCM is split.
+stride of frames it holds, at most MAX_PASS_STEPS per call, and runs
+softmax and the decoder once over that call's block of logits. Every
+engine runs such a call in one pass whose steps have the same bits as one
+step at a time (see Pipeline.step_array), and so does the decoder (see
+decoder.py), so results do not depend on how the PCM is split.
 A stream of F frames therefore yields floor((F - RF) / s1) + 1
 posteriors.
 """
@@ -21,7 +22,7 @@ posteriors.
 from __future__ import annotations
 
 import wave
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .errors import ConfigError, InvalidInputError, NotLinearizableError
 from .frontend import FeatureStream
 from .linearize import check_stages
 from .modelfile import Model
-from .pipeline import Pipeline
+from .pipeline import MAX_PASS_STEPS, Pipeline
 
 # The model kinds each engine runs, and how to name them in an error.
 _ENGINE_KINDS = {
@@ -39,9 +40,6 @@ _ENGINE_KINDS = {
     "int8": (("quantized",), "a quantized model"),
 }
 ENGINES = tuple(_ENGINE_KINDS)
-# The most steps one step_array call takes, which bounds its temporaries:
-# a 60 s push in one pass would raise the peak memory by about two thirds.
-_MAX_PASS_STEPS = 256
 
 
 def read_wav(path, expected_rate: int = 16000) -> np.ndarray:
@@ -115,11 +113,7 @@ def run_stream(model: Model, pcm_chunks, engine: str = "linear", threshold: floa
     eng = make_engine(model, engine)
     cfg = model.frontend
     dcfg = model.decoder
-    if threshold is not None:
-        from dataclasses import replace
-
-        dcfg = replace(dcfg, threshold=threshold)
-    decoder = KeywordDecoder(dcfg)
+    decoder = KeywordDecoder(dcfg if threshold is None else replace(dcfg, threshold=threshold))
     features = FeatureStream(cfg)
     t = model.first_stride
     prime_len = model.receptive_field - t
@@ -137,13 +131,13 @@ def run_stream(model: Model, pcm_chunks, engine: str = "linear", threshold: floa
             pending = pending[:, prime_len:]
             primed = True
         while pending.shape[1] >= t:
-            width = min(pending.shape[1] // t, _MAX_PASS_STEPS) * t
-            logits = eng.step_array(pending[:, :width])
+            width = min(pending.shape[1] // t, MAX_PASS_STEPS) * t
+            posterior = posterior_from_logits(step, eng.step_array(pending[:, :width]))
             pending = pending[:, width:]
-            for column in logits.T:
+            smoothed, scores, events = decoder.update(posterior)
+            fired = {event.step: event for event in events}
+            for post, smooth, score in zip(posterior.frames(), smoothed.frames(), scores):
                 frame_idx = prime_len + (step + 1) * t - 1
                 time_s = (frame_idx * cfg.hop_samples + cfg.window_samples) / cfg.sample_rate
-                posterior = posterior_from_logits(step, column)
-                smoothed, score, event = decoder.update(posterior)
-                yield StepResult(step, time_s, posterior, smoothed, score, event)
+                yield StepResult(step, time_s, post, smooth, score, fired.get(step))
                 step += 1

@@ -145,12 +145,9 @@ def choose_quant_params(min_v: float, max_v: float, mode: str = "asymmetric") ->
         raise InvalidInputError(f"invalid range: min {min_v} > max {max_v}")
     if mode == "symmetric":
         a = max(abs(min_v), abs(max_v))
-        if a == 0.0:
-            return QuantParams(1.0, 0)
-        return QuantParams(a / QMAX, 0)
+        return QuantParams(a / QMAX if a else 1.0, 0)
     if mode == "asymmetric":
-        lo = min(min_v, 0.0)
-        hi = max(max_v, 0.0)
+        lo, hi = min(min_v, 0.0), max(max_v, 0.0)
         if hi == lo:
             return QuantParams(1.0, 0)
         scale = (hi - lo) / (QMAX - QMIN)

@@ -224,3 +224,21 @@ def test_run_and_quantize_name_the_wav_whose_format_they_reject(tmp_path, capsys
         capsys.readouterr()
         assert cli_main(argv) == 1
         assert capsys.readouterr().err == f"error: {wav}: {message}\n"
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-0.5"])
+def test_run_rejects_a_threshold_that_is_not_finite_and_non_negative(tmp_path, capsys, threshold):
+    """A NaN threshold would never be crossed, so no event could fire."""
+    import numpy as np
+
+    from liconet.runtime import write_wav
+
+    model, wav = str(tmp_path / "model.lcn"), str(tmp_path / "quiet.wav")
+    assert cli_main(["init", "--arch", "lico", "--preset", "small",
+                     "--stride", "3", "--out", model]) == 0
+    write_wav(wav, np.zeros(16000, dtype=np.int16))
+    capsys.readouterr()
+    assert cli_main(["run", model, "--wav", wav, "--threshold", threshold]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: threshold must be finite and non-negative")
+    assert "Traceback" not in out + err

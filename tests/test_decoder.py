@@ -83,3 +83,76 @@ def test_non_finite_logits_are_rejected(logits):
 def test_non_finite_probabilities_are_rejected(probs):
     with pytest.raises(InvalidInputError):
         PosteriorFrame(0, probs)
+
+
+def _decode_blocks(decoder, probs, cuts):
+    """Smoothed rows, scores and events of one update per block between cuts."""
+    rows, scores, events = [], [], []
+    for lo, hi in zip([0, *cuts], [*cuts, len(probs)]):
+        if hi > lo:
+            smoothed, block_scores, block_events = decoder.update(
+                PosteriorFrame(lo, np.stack(probs[lo:hi]))
+            )
+            rows += [f.probs.tobytes() for f in smoothed.frames()]
+            scores += block_scores
+            events += block_events
+    return rows, scores, events
+
+
+def _decode_frames(decoder, probs):
+    rows, scores, events = [], [], []
+    for smoothed, score, event in _decode(decoder, probs):
+        rows.append(smoothed.probs.tobytes())
+        scores.append(score)
+        events += [event] if event else []
+    return rows, scores, events
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=decoder_cases(), data=st.data())
+def test_any_split_into_blocks_decodes_like_one_block_and_like_single_frames(case, data):
+    cfg, probs = case
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(probs)), max_size=12)))
+    whole = _decode_blocks(KeywordDecoder(cfg), probs, [])
+    assert _decode_blocks(KeywordDecoder(cfg), probs, cuts) == whole
+    assert _decode_frames(KeywordDecoder(cfg), probs) == whole
+    expected = decode_loops(
+        [list(p) for p in probs], cfg.window_steps, cfg.smooth_steps,
+        cfg.keyword_ids, cfg.threshold,
+    )
+    rows, scores, events = whole
+    for row, score, (want_row, want_score, _) in zip(rows, scores, expected):
+        np.testing.assert_allclose(np.frombuffer(row), want_row, rtol=0, atol=1e-12)
+        assert abs(score - want_score) <= 1e-12
+    want_events = [(k, e) for k, (*_, e) in enumerate(expected) if e is not None]
+    assert [e.step for e in events] == [k for k, _ in want_events]
+    for event, (_, want_score) in zip(events, want_events):
+        assert abs(event.score - want_score) <= 1e-12
+
+
+# Two keyword classes, window 4, no smoothing: both keywords high in one
+# window fires at steps 5 and 15; the crossing at step 9 is the last step
+# of the refractory period after step 5's event (steps 6-9).
+QUIET, BOTH = [0.98, 0.01, 0.01], [0.0, 0.5, 0.5]
+A_HIGH, B_HIGH = [0.09, 0.9, 0.01], [0.09, 0.01, 0.9]
+EDGE_PROBS = [np.array(p) for p in [QUIET] * 2 + [B_HIGH] + [QUIET] * 2 + [A_HIGH]
+              + [QUIET] * 3 + [BOTH] + [QUIET] * 5 + [BOTH] + [QUIET] * 4]
+EDGE_CUTS = {
+    "event-in-column-0": [5, 15],
+    "refractory-across-an-edge": [7],
+    "suppressed-crossing-in-column-0": [9],
+    "blocks-shorter-than-the-window": list(range(3, 20, 3)),
+    "one-step-blocks": list(range(1, 20)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CUTS))
+def test_split_block_edges_at_events_and_refractory_periods(case):
+    cfg = DecoderConfig(4, 1, (1, 2), 0.4)
+    expected = decode_loops([list(p) for p in EDGE_PROBS], 4, 1, (1, 2), 0.4)
+    assert [k for k, (*_, e) in enumerate(expected) if e is not None] == [5, 15]
+    assert expected[8][1] < 0.4 <= expected[9][1]
+    whole = _decode_blocks(KeywordDecoder(cfg), EDGE_PROBS, [])
+    assert [e.step for e in whole[2]] == [5, 15]
+    assert _decode_blocks(KeywordDecoder(cfg), EDGE_PROBS, EDGE_CUTS[case]) == whole
+    assert _decode_frames(KeywordDecoder(cfg), EDGE_PROBS) == whole

@@ -209,3 +209,13 @@ def test_random_manifest_edits_fail_in_load_or_run(tmp_path_factory, kind, picks
     engine.prime_array(x[:, :prime])
     for j in range(3):
         engine.step_array(x[:, prime + j * t : prime + (j + 1) * t])
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -0.5])
+def test_a_manifest_threshold_that_is_not_finite_and_non_negative_fails_in_load(
+    tmp_path, threshold
+):
+    path = _save(tmp_path, "lico")
+    _rewrite(path, _set("decoder", "threshold", value=threshold))
+    with pytest.raises(ManifestError, match="threshold must be finite and non-negative"):
+        load_model(path)

@@ -390,3 +390,22 @@ def test_forward_over_n_windows_equals_n_split_calls(in_dim, out_dim, n, relu, s
                 r = None if residual is None else residual[:, j : j + 1]
                 single = op.forward(win[j : j + 1], r, op)
                 assert whole[:, j].tobytes() == single[:, 0].tobytes(), (kind, residual is None, j)
+
+
+@settings(max_examples=8, deadline=None)
+@given(case=nets_with_stride(), n_steps=st.integers(257, 600), seed=st.integers(0, 2**30))
+def test_calibration_split_into_passes_matches_a_per_stride_loop(case, n_steps, seed):
+    """Ranges over more strides than one pass takes, against one run per
+    stride; frames after the last whole stride are left out."""
+    net, t = case
+    lnet = linearize_network(net, t)
+    x = np.random.default_rng(seed).normal(size=(net.input_features, n_steps * t + t - 1))
+    ranges = calibrate_activations(lnet, Tensor2D(x))
+    stream = Pipeline(lnet.stages)
+    lo, hi = [np.inf] * len(lnet.stages), [-np.inf] * len(lnet.stages)
+    for j in range(n_steps):
+        for k, out in enumerate(stream.run(x[:, j * t : (j + 1) * t])):
+            lo[k], hi[k] = min(lo[k], float(out.min())), max(hi[k], float(out.max()))
+    assert ranges.stage_ranges == tuple(StageRange(a, b) for a, b in zip(lo, hi))
+    used = x[:, : n_steps * t]
+    assert (ranges.input_min, ranges.input_max) == (float(used.min()), float(used.max()))
