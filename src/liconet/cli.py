@@ -74,10 +74,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_linearize(args) -> int:
     model = load_model(args.model)
-    if model.kind not in ("lico", "mlp"):
-        print(f"error: {args.model} already holds a {model.kind} pipeline", file=sys.stderr)
-        return 1
-    lnet = linearize_network(model.net, model.first_stride)
+    lnet = make_engine(model, "conv")  # a float model's plan, if the gate passes
     save_model(Model(lnet, model.frontend, model.decoder, model.first_stride), args.out)
     print(f"wrote linearized pipeline ({len(lnet.stages) - 1} stages + classifier) to {args.out}")
     return 0
@@ -85,9 +82,6 @@ def _cmd_linearize(args) -> int:
 
 def _cmd_quantize(args) -> int:
     model = load_model(args.model)
-    if model.kind == "quantized":
-        print(f"error: {args.model} is already quantized", file=sys.stderr)
-        return 1
     lnet = make_engine(model, "linear")
     pcm = read_wav(args.calib, model.frontend.sample_rate)
     features = FeatureStream(model.frontend).push(pcm)
@@ -117,17 +111,14 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     model = load_model(args.model)
-    net = model.net
-    if model.kind not in ("lico", "mlp"):
-        print(f"error: verify needs a float model, file holds {model.kind!r}", file=sys.stderr)
-        return 1
-    t = model.first_stride
+    conv = make_engine(model, "conv")
+    net, t = model.net, model.first_stride
     size = (net.input_features, args.steps * t)
     stream = np.random.default_rng(args.seed).normal(0.0, 1.0, size=size)
     held_out = np.random.default_rng([args.seed, 1]).normal(0.0, 1.0, size=size)
 
     # The linearized pipeline is stepped as `linearize` writes it and `run` reads it.
-    conv_out = make_engine(model, "conv").step_array(stream)
+    conv_out = conv.step_array(stream)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "linear.lcn"
         save_model(Model(linearize_network(net, t), model.frontend, model.decoder, t), path)

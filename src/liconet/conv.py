@@ -15,14 +15,13 @@ zero columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ShapeError
-from .pipeline import ACTIVATIONS, LinearLayer, PipelineStage, StreamState
+from .pipeline import LinearLayer, PipelineStage, StreamState
 from .pipeline import apply_activation_array
 from .tensor import Tensor2D
 
@@ -34,32 +33,29 @@ def apply_activation(x: Tensor2D, kind: str) -> Tensor2D:
 
 @dataclass(frozen=True)
 class Conv1DLayer:
-    """Causal 1D convolution layer: weights (D, C, K), bias (D,)."""
+    """Causal 1D convolution layer: weights (D, C, K), bias (D,).
+
+    dense is the layer as a (C*K, D) operator, Wd[c*K + k][d] = W[d][c][k]:
+    a column-major view of the weights, which its constructor checks.
+    """
 
     weights: np.ndarray
     bias: np.ndarray
     stride: int = 1
     activation: str = "none"
+    dense: LinearLayer = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
-        b = np.ascontiguousarray(np.asarray(self.bias, dtype=np.float64))
         if w.ndim != 3:
             raise ShapeError(f"weights must be (out, in, kernel), got shape {w.shape}")
-        d, c, k = w.shape
-        if min(d, c, k) < 1:
-            raise ShapeError(f"all weight dimensions must be >= 1, got {w.shape}")
-        if b.shape != (d,):
-            raise ShapeError(f"bias shape {b.shape} does not match {d} output channels")
         if self.stride < 1:
             raise ConfigError(f"stride must be >= 1, got {self.stride}")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"activation must be one of {ACTIVATIONS}")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise ShapeError("weights and bias must be finite")
-        for name, arr in (("weights", w), ("bias", b)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        d, c, k = w.shape
+        dense = LinearLayer(w.transpose(1, 2, 0).reshape(c * k, d), self.bias, self.activation)
+        w.setflags(write=False)
+        for name, value in (("weights", w), ("bias", dense.bias), ("dense", dense)):
+            object.__setattr__(self, name, value)
 
     @property
     def out_channels(self) -> int:
@@ -72,20 +68,6 @@ class Conv1DLayer:
     @property
     def kernel(self) -> int:
         return self.weights.shape[2]
-
-    @cached_property
-    def dense(self) -> LinearLayer:
-        """The layer as a dense (C*K, D) operator, Wd[c*K + k][d] = W[d][c][k].
-
-        Built once per layer. The conv layer has already checked everything
-        LinearLayer would, so the reshaped weights are not checked again.
-        """
-        w = self.weights.transpose(1, 2, 0).reshape(self.in_channels * self.kernel, -1)
-        w.setflags(write=False)
-        dense = object.__new__(LinearLayer)
-        for name, value in (("weights", w), ("bias", self.bias), ("activation", self.activation)):
-            object.__setattr__(dense, name, value)
-        return dense
 
 
 def conv_stage(name: str, layer: Conv1DLayer, captures_input=False, residual_from=None):

@@ -95,10 +95,10 @@ class DecoderConfig:
     threshold: float = 0.5
 
     def __post_init__(self):
+        whole = (self.window_steps, self.smooth_steps, *self.keyword_ids)
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in whole):
+            raise ConfigError(f"decoder lengths and class ids must be whole numbers, got {whole}")
         object.__setattr__(self, "keyword_ids", tuple(int(i) for i in self.keyword_ids))
-        steps = (self.window_steps, self.smooth_steps)
-        if not all(isinstance(n, (int, np.integer)) for n in steps):
-            raise ConfigError("window and smoothing lengths must be whole steps")
         if not self.window_steps >= self.smooth_steps >= 1:
             raise ConfigError(
                 f"need window >= smoothing >= 1, got {self.window_steps} / {self.smooth_steps}"
@@ -109,7 +109,7 @@ class DecoderConfig:
             raise ConfigError("keyword class ids must be distinct")
         if min(self.keyword_ids) < 0:
             raise ConfigError("keyword class ids must be non-negative")
-        if not self.threshold >= 0 or not math.isfinite(self.threshold):
+        if isinstance(self.threshold, (bool, np.bool_)) or not 0 <= self.threshold < math.inf:
             raise ConfigError(f"threshold must be finite and non-negative, got {self.threshold}")
 
     @classmethod

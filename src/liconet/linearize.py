@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NotLinearizableError
+from .errors import NotLinearizableError
 from .model import MlpNet, stage_plan
 from .pipeline import Pipeline
 
@@ -23,13 +23,14 @@ from .pipeline import Pipeline
 class LinearizabilityReport:
     """Outcome of the conversion gate; violations are (layer id, reason)."""
 
-    compliant: bool
     violations: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "violations", tuple(self.violations))
-        if self.compliant != (len(self.violations) == 0):
-            raise ConfigError("compliant flag must match an empty violation list")
+
+    @property
+    def compliant(self) -> bool:
+        return not self.violations
 
 
 def check_stages(stages, t: int) -> LinearizabilityReport:
@@ -39,7 +40,7 @@ def check_stages(stages, t: int) -> LinearizabilityReport:
         (first.name, f"first layer stride {first.stride} != chunk size {t}")
     ]
     violations += [(st.name, f"stride {st.stride} != 1") for st in later if st.stride != 1]
-    return LinearizabilityReport(not violations, violations)
+    return LinearizabilityReport(violations)
 
 
 def check_linearizable(net, t: int) -> LinearizabilityReport:
@@ -53,9 +54,9 @@ def check_linearizable(net, t: int) -> LinearizabilityReport:
     """
     if not isinstance(t, (int, np.integer)) or t < 1:
         why = f"chunk size must be a positive integer, got {t}"
-        return LinearizabilityReport(False, [("chunk", why)])
+        return LinearizabilityReport([("chunk", why)])
     if isinstance(net, MlpNet):
-        return LinearizabilityReport(True)
+        return LinearizabilityReport()
     return check_stages(stage_plan(net), t)
 
 

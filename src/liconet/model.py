@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conv import Conv1DLayer, conv_stage, conv_valid
-from .errors import ConfigError, NotLinearizableError, ShapeError
-from .pipeline import LinearLayer, Pipeline, PipelineStage
+from .errors import ConfigError, ShapeError
+from .pipeline import LinearLayer, Pipeline, PipelineStage, check_geometry
 from .tensor import Tensor2D
 
 
@@ -101,16 +101,10 @@ class LiCoNet:
                 f"input features {self.input_features} do not match "
                 f"block 1 input {self.blocks[0].in_channels}"
             )
-        prev = self.blocks[0].width
-        for i, blk in enumerate(self.blocks[1:], start=2):
-            if blk.in_channels != prev:
-                raise ConfigError(f"block {i} input {blk.in_channels} != previous width {prev}")
-            prev = blk.width
         cls = self.classifier
         if cls.kernel != 1 or cls.stride != 1 or cls.activation != "none":
             raise ConfigError("classifier must be a pointwise layer with no activation")
-        if cls.in_channels != prev:
-            raise ConfigError(f"classifier input {cls.in_channels} != final width {prev}")
+        _check_chain(self)
 
     @property
     def first_stride(self) -> int:
@@ -132,26 +126,21 @@ class MlpNet:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(self.hidden))
-        if self.input_frames < 1 or self.input_features < 1:
-            raise ConfigError("input dimensions must be positive")
         if not self.hidden:
             raise ConfigError("at least one hidden layer is required")
-        if self.hidden[0].in_dim != self.input_frames * self.input_features:
-            raise ConfigError(
-                f"first layer input {self.hidden[0].in_dim} != "
-                f"{self.input_frames} * {self.input_features}"
-            )
-        prev = self.hidden[0].out_dim
-        for i, layer in enumerate(self.hidden[1:], start=2):
-            if layer.in_dim != prev:
-                raise ConfigError(f"hidden layer {i} input {layer.in_dim} != previous {prev}")
-            prev = layer.out_dim
-        if self.classifier.in_dim != prev:
-            raise ConfigError(f"classifier input {self.classifier.in_dim} != previous {prev}")
+        _check_chain(self)
 
     @property
     def n_classes(self) -> int:
         return self.classifier.out_dim
+
+
+def _check_chain(net) -> None:
+    """The plan's geometry check, as the error of a bad configuration."""
+    try:
+        check_geometry(stage_plan(net))
+    except ShapeError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +334,10 @@ def count_macs_per_step(net) -> int:
     i.e. the network passes the linearization gate; otherwise raises.
     Equals count_params minus the number of bias elements.
     """
-    from .linearize import check_stages
+    from .linearize import linearize_network
 
-    stages = stage_plan(net)
-    report = check_stages(stages, stages[0].stride)
-    if not report.compliant:
-        raise NotLinearizableError(report)
-    return sum(st.op.mac_count for st in stages)
+    lnet = linearize_network(net, stage_plan(net)[0].stride)  # raises unless it passes the gate
+    return sum(st.op.mac_count for st in lnet.stages)
 
 
 class StreamingNetwork(Pipeline):

@@ -67,9 +67,10 @@ class Model:
     stages: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.first_stride, (int, np.integer)) or self.first_stride < 1:
-            raise ConfigError(f"first stride must be an integer >= 1, got {self.first_stride!r}")
-        object.__setattr__(self, "stages", stage_plan(self.net, self.first_stride))
+        stride = self.first_stride
+        if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
+            raise ConfigError(f"first stride must be an integer >= 1, got {stride!r}")
+        object.__setattr__(self, "stages", stage_plan(self.net, stride))
         n = self.net.n_classes
         if max(self.decoder.keyword_ids) >= n:
             raise ConfigError(f"keyword class ids {self.decoder.keyword_ids} exceed {n} classes")

@@ -15,8 +15,9 @@ matrix (`windows`, which frames the frontend's audio too), and keeping
 the newest columns as the next history. A step feeds one first-layer
 stride of frames and emits one column per stage; `step_array` takes any
 whole number of steps in one pass. Each operator gives a window the same
-bits whatever other windows share its call, so a step's logits do not
-depend on how many steps run together. Priming takes each stage's history
+bits whatever other windows share its call, provided the window is a
+unit-stride row (`windows` copies a strided one), so a step's logits do
+not depend on how many steps run together. Priming takes each stage's history
 from the head of that stage's input and advances over the rest, so a
 following step picks up exactly where a batch pass over the prefix would.
 Calibration reads each stage's output from the same loop.
@@ -107,8 +108,8 @@ class LinearLayer(DenseOperator):
     activation: str = "none"
 
     def __post_init__(self):
-        w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
-        b = np.ascontiguousarray(np.asarray(self.bias, dtype=np.float64))
+        w = np.asarray(self.weights, dtype=np.float64)  # in any order: a conv's is a view
+        b = np.asarray(self.bias, dtype=np.float64)
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise ShapeError("weights and bias must be finite")
         self._store(w, b)
@@ -124,14 +125,16 @@ class LinearLayer(DenseOperator):
 
 
 def windows(buf: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """Every window of buf (C, T) at the given stride, flattened to (n, C*K)."""
+    """Every window of buf (C, T) at the given stride, flattened to (n, C*K),
+    each a unit-stride row: np.vecmat sums a strided row in another order."""
     c, t = buf.shape
     if t < kernel:
         return np.empty((0, c * kernel), buf.dtype)
     if t < kernel + stride:  # exactly one window, without a strided view
-        return buf[:, :kernel].reshape(1, c * kernel)
+        return np.ascontiguousarray(buf[:, :kernel].reshape(1, c * kernel))
     view = sliding_window_view(buf, kernel, axis=1)[:, ::stride]
-    return view.transpose(1, 0, 2).reshape(-1, c * kernel)
+    rows = view.transpose(1, 0, 2).reshape(-1, c * kernel)
+    return rows if rows.strides[1] == rows.itemsize else rows.copy()
 
 
 @dataclass
@@ -180,16 +183,15 @@ class PipelineStage:
         return out
 
 
-def _check_geometry(stages) -> None:
+def check_geometry(stages) -> None:
+    """Check that a plan's stages chain at any strides: each takes the
+    channels the one before gives, and each residual is wired as a block's."""
     if not stages:
         raise ShapeError("a pipeline needs at least one stage")
     width = stages[0].channels
     for j, st in enumerate(stages):
-        if st.kernel < 1 or st.stride < 1 or (j and st.stride != 1):
-            raise ShapeError(
-                f"{st.name}: kernel {st.kernel}, stride {st.stride}; kernels must be "
-                "positive and every stride after the first must be 1"
-            )
+        if st.kernel < 1 or st.stride < 1:
+            raise ShapeError(f"{st.name}: kernel {st.kernel}, stride {st.stride} must be positive")
         if st.channels != width:
             raise ShapeError(f"{st.name} takes {st.channels} channels, its input has {width}")
         if st.op.in_dim != st.channels * st.kernel:
@@ -217,7 +219,9 @@ class Pipeline:
 
     def __init__(self, stages):
         self.stages = list(stages)
-        _check_geometry(self.stages)
+        check_geometry(self.stages)
+        if any(st.stride != 1 for st in self.stages[1:]):
+            raise ShapeError("every stride after the first stage's must be 1")
         self.reset()
 
     @classmethod

@@ -1,6 +1,7 @@
 """Command-line tests: init followed by verify on models whose first kernel
 is shorter than their first stride."""
 
+import numpy as np
 import pytest
 
 from liconet.cli import main as cli_main
@@ -242,3 +243,27 @@ def test_run_rejects_a_threshold_that_is_not_finite_and_non_negative(tmp_path, c
     out, err = capsys.readouterr()
     assert err.startswith("error: threshold must be finite and non-negative")
     assert "Traceback" not in out + err
+
+
+def test_linearize_quantize_and_verify_name_the_kind_they_refuse(tmp_path, capsys):
+    """Each command takes the model kinds of the engine it builds; any
+    other kind exits 1 with one error line and writes no file."""
+    from liconet.runtime import write_wav
+
+    files = _four_kinds(tmp_path)
+    wav = str(tmp_path / "calib.wav")
+    write_wav(wav, np.random.default_rng(3).uniform(-0.5, 0.5, 4000))
+    out = tmp_path / "out.lcn"
+    commands = {
+        "linearize": (["--out", str(out)], ("linearized", "quantized")),
+        "quantize": (["--calib", wav, "--out", str(out)], ("quantized",)),
+        "verify": (["--steps", "5"], ("linearized", "quantized")),
+    }
+    for command, (options, refused) in commands.items():
+        for kind in refused:
+            capsys.readouterr()
+            assert cli_main([command, files[kind][0], *options]) == 1
+            stdout, err = capsys.readouterr()
+            assert stdout == "" and not out.exists()
+            assert err.startswith("error: ") and err.endswith(f"file holds {kind!r}\n")
+            assert err.count("\n") == 1

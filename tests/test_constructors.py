@@ -1,0 +1,94 @@
+"""Each layer and net constructor rejects a malformed input with the error
+type named here, whichever of its checks catches it."""
+
+import numpy as np
+import pytest
+
+from liconet.conv import Conv1DLayer
+from liconet.errors import ConfigError, ShapeError
+from liconet.model import LiCoNet, MlpNet, build_lico_block, build_mlp
+from liconet.pipeline import LinearLayer
+
+
+def _conv(weights=None, bias=None, stride=2, activation="relu"):
+    """A (3, 2, 4) layer, with the given argument in place of the default."""
+    weights = np.ones((3, 2, 4)) if weights is None else weights
+    bias = np.zeros(3) if bias is None else bias
+    return Conv1DLayer(weights, bias, stride, activation)
+
+
+def _set(shape, index, value):
+    arr = np.ones(shape)
+    arr[index] = value
+    return arr
+
+
+CONV_CASES = {
+    "nan-weight": (dict(weights=_set((3, 2, 4), (1, 0, 3), np.nan)), ShapeError),
+    "inf-weight": (dict(weights=_set((3, 2, 4), (0, 1, 0), -np.inf)), ShapeError),
+    "inf-bias": (dict(bias=_set(3, 2, np.inf)), ShapeError),
+    "short-bias": (dict(bias=np.zeros(2)), ShapeError),
+    "long-bias": (dict(bias=np.zeros(4)), ShapeError),
+    "no-outputs": (dict(weights=np.ones((0, 2, 4)), bias=np.zeros(0)), ShapeError),
+    "no-inputs": (dict(weights=np.ones((3, 0, 4))), ShapeError),
+    "no-kernel": (dict(weights=np.ones((3, 2, 0))), ShapeError),
+    "2-d-weights": (dict(weights=np.ones((3, 8))), ShapeError),
+    "activation": (dict(activation="tanh"), ConfigError),
+    "stride-0": (dict(stride=0), ConfigError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONV_CASES))
+def test_conv_layer_rejects(case):
+    change, error = CONV_CASES[case]
+    with pytest.raises(error):
+        _conv(**change)
+
+
+def test_conv_layer_and_its_dense_form_share_one_read_only_weight_array():
+    layer = _conv(np.arange(24.0).reshape(3, 2, 4))
+    dense = layer.dense.weights
+    assert np.shares_memory(layer.weights, dense)
+    assert not layer.weights.flags.writeable and not dense.flags.writeable
+    assert dense.shape == (8, 3) and dense[1 * 4 + 3, 2] == layer.weights[2, 1, 3]
+
+
+def _mlp(**change):
+    """build_mlp(4, 3, 5, 6, 2)'s parts, with the given ones replaced."""
+    net = build_mlp(4, 3, 5, 6, 2, seed=0)
+    parts = dict(input_frames=4, input_features=3, hidden=net.hidden, classifier=net.classifier)
+    return MlpNet(**(parts | change))
+
+
+def _dense(in_dim, out_dim):
+    return LinearLayer(np.ones((in_dim, out_dim)), np.zeros(out_dim), "relu")
+
+
+MLP_CASES = {
+    "broken-chain": dict(hidden=(_dense(12, 5), _dense(4, 6))),
+    "first-width": dict(hidden=(_dense(11, 5), _dense(5, 6))),
+    "no-frames": dict(input_frames=0),
+    "no-features": dict(input_features=0),
+    "classifier-input": dict(classifier=_dense(5, 2)),
+    "no-hidden-layer": dict(hidden=(), classifier=_dense(12, 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MLP_CASES))
+def test_mlp_rejects(case):
+    _mlp()
+    with pytest.raises(ConfigError):
+        _mlp(**MLP_CASES[case])
+
+
+def _lico(input_features=4, classifier_inputs=8):
+    blocks = (build_lico_block(4, 8, 2, 3, 2, 0), build_lico_block(8, 8, 2, 3, 1, 1))
+    classifier = Conv1DLayer(np.ones((2, classifier_inputs, 1)), np.zeros(2), 1, "none")
+    return LiCoNet(input_features, blocks, classifier)
+
+
+@pytest.mark.parametrize("change", [dict(input_features=5), dict(classifier_inputs=7)])
+def test_lico_net_rejects(change):
+    _lico()
+    with pytest.raises(ConfigError):
+        _lico(**change)

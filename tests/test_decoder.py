@@ -15,7 +15,7 @@ from liconet.decoder import (
     posterior_from_logits,
     softmax,
 )
-from liconet.errors import InvalidInputError
+from liconet.errors import ConfigError, InvalidInputError
 from reference import decode_loops
 
 
@@ -156,3 +156,14 @@ def test_split_block_edges_at_events_and_refractory_periods(case):
     assert [e.step for e in whole[2]] == [5, 15]
     assert _decode_blocks(KeywordDecoder(cfg), EDGE_PROBS, EDGE_CUTS[case]) == whole
     assert _decode_frames(KeywordDecoder(cfg), EDGE_PROBS) == whole
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(True, 1, (2,), 0.5), (4, True, (2,), 0.5), (4, 1, (True,), 0.5), (4, 1, (2, False), 0.5),
+     (4, 1, (2,), True), (4, 1, (2,), np.True_), (True, True, (True,), True)],
+)
+def test_decoder_config_rejects_bools_where_it_needs_numbers(args):
+    DecoderConfig(4, 1, (2,), 0.5)
+    with pytest.raises(ConfigError):
+        DecoderConfig(*args)

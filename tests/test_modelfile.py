@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liconet.cli import main as cli_main
-from liconet.errors import ManifestError, ModelFileError
+from liconet.errors import ConfigError, ManifestError, ModelFileError
 from liconet.linearize import linearize_network
 from liconet.model import build_lico_net, build_mlp
 from liconet.modelfile import default_model, load_model, save_model
@@ -218,4 +218,30 @@ def test_a_manifest_threshold_that_is_not_finite_and_non_negative_fails_in_load(
     path = _save(tmp_path, "lico")
     _rewrite(path, _set("decoder", "threshold", value=threshold))
     with pytest.raises(ManifestError, match="threshold must be finite and non-negative"):
+        load_model(path)
+
+
+def test_a_bool_first_stride_is_refused():
+    net = build_mlp(4, 3, 5, 4, 3, seed=9)
+    default_model(net, first_stride=1)
+    with pytest.raises(ConfigError):
+        default_model(net, first_stride=True)
+
+
+BOOL_EDITS = {
+    "first-stride": ("mlp", [("first_stride",)]),
+    "threshold": ("lico", [("decoder", "threshold")]),
+    "smooth-steps": ("lico", [("decoder", "smooth_steps")]),
+    "window-and-smooth-steps": ("mlp", [("decoder", "window_steps"), ("decoder", "smooth_steps")]),
+    "keyword-id": ("lico", [("decoder", "keyword_ids", 0)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOL_EDITS))
+def test_a_manifest_bool_where_a_number_belongs_fails_in_load(tmp_path, case):
+    kind, fields = BOOL_EDITS[case]
+    path = _save(tmp_path, kind)
+    for keys in fields:
+        _rewrite(path, _set(*keys, value=True))
+    with pytest.raises(ManifestError):
         load_model(path)

@@ -409,3 +409,26 @@ def test_calibration_split_into_passes_matches_a_per_stride_loop(case, n_steps, 
     assert ranges.stage_ranges == tuple(StageRange(a, b) for a, b in zip(lo, hi))
     used = x[:, : n_steps * t]
     assert (ranges.input_min, ranges.input_max) == (float(used.min()), float(used.max()))
+
+
+@pytest.mark.parametrize("kind, engine", [("lico", "conv"), ("linearized", "linear")])
+def test_split_of_a_residual_first_block_from_a_file_leaves_its_bits(tmp_path, kind, engine):
+    """A first block with a residual (stride 1, width = input features)
+    adds the input frames to its output, so a kernel-1 stage after it can
+    be handed strided window rows; one call over n strides must still
+    equal n one-stride calls, on nets loaded from a file."""
+    rng = np.random.default_rng(31)
+    for i in range(12):
+        width, classes = int(rng.integers(2, 9)), 1 + i % 3
+        net = build_lico_net(width, int(rng.integers(1, 4)), width, int(rng.integers(2, 5)),
+                             int(rng.integers(2, 6)), 1, classes, seed=int(rng.integers(1 << 30)))
+        path = tmp_path / f"{i}.lcn"
+        save_model(default_model(net if kind == "lico" else linearize_network(net, 1)), path)
+        model = load_model(path)
+        prime = model.receptive_field - 1
+        x = rng.normal(size=(width, prime + 40))
+        whole, single = make_engine(model, engine), make_engine(model, engine)
+        whole.prime_array(x[:, :prime])
+        single.prime_array(x[:, :prime])
+        body = x[:, prime:]
+        assert whole.step_array(body).tobytes() == _step_all(single, body, 1).tobytes()
