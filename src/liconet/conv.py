@@ -7,10 +7,10 @@ The batch form computes, for weights of shape (D, C, K) and stride s,
 over i = 0 .. floor((T-K)/s), followed by the layer activation. The
 streaming form is a one-stage pipeline (see pipeline.py): the layer as a
 dense operator over channel-major windows, stepped over fixed-size chunks
-of t frames (t a multiple of s) with a StreamState holding the most
-recent max(K-s, 0) input columns, so the concatenated chunk outputs
-reproduce the batch output on the input left-padded with max(K-s, 0)
-zero columns.
+of t frames (t a multiple of s) with a StreamState holding the input
+columns its windows have not consumed, max(K-s, 0) of them, so the
+concatenated chunk outputs reproduce the batch output on the input
+left-padded with max(K-s, 0) zero columns.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, is_whole
 from .pipeline import LinearLayer, PipelineStage, StreamState
 from .pipeline import apply_activation_array
 from .tensor import Tensor2D
@@ -49,8 +49,8 @@ class Conv1DLayer:
         w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
         if w.ndim != 3:
             raise ShapeError(f"weights must be (out, in, kernel), got shape {w.shape}")
-        if self.stride < 1:
-            raise ConfigError(f"stride must be >= 1, got {self.stride}")
+        if not is_whole(self.stride) or self.stride < 1:
+            raise ConfigError(f"stride must be an integer >= 1, got {self.stride!r}")
         d, c, k = w.shape
         dense = LinearLayer(w.transpose(1, 2, 0).reshape(c * k, d), self.bias, self.activation)
         w.setflags(write=False)
@@ -70,10 +70,10 @@ class Conv1DLayer:
         return self.weights.shape[2]
 
 
-def conv_stage(name: str, layer: Conv1DLayer, captures_input=False, residual_from=None):
+def conv_stage(name: str, layer: Conv1DLayer, residual_from=None):
     """The layer as one pipeline stage."""
     return PipelineStage(name, layer.dense, layer.in_channels, layer.kernel,
-                         layer.stride, captures_input, residual_from)
+                         layer.stride, residual_from)
 
 
 def conv_valid(x: np.ndarray, weights: np.ndarray, bias, stride: int, activation: str):

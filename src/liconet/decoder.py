@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, InvalidInputError, is_whole
 
 
 def _least(a):
@@ -96,7 +96,7 @@ class DecoderConfig:
 
     def __post_init__(self):
         whole = (self.window_steps, self.smooth_steps, *self.keyword_ids)
-        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in whole):
+        if not all(map(is_whole, whole)):
             raise ConfigError(f"decoder lengths and class ids must be whole numbers, got {whole}")
         object.__setattr__(self, "keyword_ids", tuple(int(i) for i in self.keyword_ids))
         if not self.window_steps >= self.smooth_steps >= 1:

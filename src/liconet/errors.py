@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one whole-number test."""
+
+import numpy as np
+
+
+def is_whole(value) -> bool:
+    """An int or numpy integer and not a bool: a bool is no count or size."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class ShapeError(ValueError):

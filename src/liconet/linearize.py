@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import NotLinearizableError
+from .errors import NotLinearizableError, is_whole
 from .model import MlpNet, stage_plan
 from .pipeline import Pipeline
 
@@ -52,7 +50,7 @@ def check_linearizable(net, t: int) -> LinearizabilityReport:
     For the MLP baseline the first-layer stride is chosen at conversion
     time, so any positive chunk size is compliant.
     """
-    if not isinstance(t, (int, np.integer)) or t < 1:
+    if not is_whole(t) or t < 1:
         why = f"chunk size must be a positive integer, got {t}"
         return LinearizabilityReport([("chunk", why)])
     if isinstance(net, MlpNet):

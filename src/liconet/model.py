@@ -18,7 +18,7 @@ import numpy as np
 
 from .conv import Conv1DLayer, conv_stage, conv_valid
 from .errors import ConfigError, ShapeError
-from .pipeline import LinearLayer, Pipeline, PipelineStage, check_geometry
+from .pipeline import LinearLayer, Pipeline, PipelineStage, check_geometry, receptive_field_of
 from .tensor import Tensor2D
 
 
@@ -234,9 +234,9 @@ def stage_plan(net, first_stride: int | None = None) -> list:
         stages = []
         for b, blk in enumerate(net.blocks, start=1):
             source = len(stages) if blk.residual else None
-            stages.append(conv_stage(f"block{b}.conv1", blk.conv1, blk.residual))
+            stages.append(conv_stage(f"block{b}.conv1", blk.conv1))
             stages.append(conv_stage(f"block{b}.conv2", blk.conv2))
-            stages.append(conv_stage(f"block{b}.conv3", blk.conv3, residual_from=source))
+            stages.append(conv_stage(f"block{b}.conv3", blk.conv3, source))
         stages.append(conv_stage("classifier", net.classifier))
     elif isinstance(net, MlpNet):
         stride = 1 if first_stride is None else first_stride
@@ -259,36 +259,16 @@ def stage_plan(net, first_stride: int | None = None) -> list:
 
 def _plan_forward(stages, x: np.ndarray) -> np.ndarray:
     """Each stage as a strided valid convolution over the whole input."""
-    captured = {}
-    for idx, st in enumerate(stages):
-        if st.captures_input:
-            captured[idx] = x
+    inputs = []
+    for st in stages:
+        inputs.append(x)
         op = st.op
         w = op.weights.reshape(st.channels, st.kernel, op.out_dim).transpose(2, 0, 1)
         x = conv_valid(x, w, op.bias, st.stride, op.activation)
-        if st.residual_from is not None:
-            off = stages[st.residual_from].kernel - 1
-            x = x + captured[st.residual_from][:, off : off + x.shape[1]]
+        if st.residual_from is not None:  # the newest input column of each window
+            src = inputs[st.residual_from]
+            x = x + src[:, src.shape[1] - x.shape[1] :]
     return x
-
-
-def receptive_field_of(stages) -> int:
-    """Input frames one output column of a chain of stages needs.
-
-    Counted on the first-layer stride grid: the first stage takes
-    max(K1, s1) frames (a whole stride even when the kernel is shorter),
-    and stage j widens the footprint by K_j - 1 of its input columns,
-    each s_1 * ... * s_(j-1) frames apart. For a compliant net (every
-    later stride 1), RF - s1 = max(K1 - s1, 0) + s1 * sum(K - 1) is the
-    left zero padding under which the streaming form equals batch, and
-    the priming prefix of a stream.
-    """
-    first, *later = stages
-    rf, spacing = max(first.kernel, first.stride), first.stride
-    for st in later:
-        rf += (st.kernel - 1) * spacing
-        spacing *= st.stride
-    return rf
 
 
 def receptive_field(net, first_stride: int | None = None) -> int:

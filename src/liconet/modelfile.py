@@ -28,6 +28,7 @@ import numpy as np
 from .conv import Conv1DLayer
 from .decoder import DecoderConfig
 from .errors import BadMagicError, ConfigError, ManifestError, TruncatedError, VersionError
+from .errors import is_whole
 from .frontend import FrontendConfig
 from .model import LiCoBlock, LiCoNet, MlpNet, receptive_field_of, stage_plan
 from .pipeline import LinearLayer, Pipeline, PipelineStage
@@ -52,7 +53,7 @@ _FRONTEND_FIELDS = ("sample_rate", "window_ms", "hop_ms", "n_mels", "fmin", "fma
 _DECODER_FIELDS = ("window_steps", "smooth_steps", "keyword_ids", "threshold")
 # The arch entries of a LiCo block and of a pipeline stage, read off the object.
 _BLOCK_FIELDS = ("in_channels", "width", "expansion", "kernel", "stride", "residual")
-_STAGE_FIELDS = ("name", "channels", "kernel", "stride", "captures_input", "residual_from")
+_STAGE_FIELDS = ("name", "channels", "kernel", "stride", "residual_from")
 
 
 @dataclass(frozen=True)
@@ -68,9 +69,12 @@ class Model:
 
     def __post_init__(self):
         stride = self.first_stride
-        if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
+        if not is_whole(stride) or stride < 1:
             raise ConfigError(f"first stride must be an integer >= 1, got {stride!r}")
         object.__setattr__(self, "stages", stage_plan(self.net, stride))
+        features = self.stages[0].channels
+        if self.frontend.n_mels != features:
+            raise ConfigError(f"{self.frontend.n_mels} mel bands, the net takes {features}")
         n = self.net.n_classes
         if max(self.decoder.keyword_ids) >= n:
             raise ConfigError(f"keyword class ids {self.decoder.keyword_ids} exceed {n} classes")
@@ -86,11 +90,11 @@ class Model:
 
 
 def default_model(net, first_stride: int | None = None, threshold: float = 0.5) -> Model:
-    """Wrap a bare net with identity-normalization frontend and default decoder."""
+    """Wrap a bare net with an identity frontend of its input width and default decoder."""
     if first_stride is None:
         first_stride = stage_plan(net)[0].stride
     decoder = DecoderConfig.default(net.n_classes, first_stride, threshold)
-    return Model(net, FrontendConfig(), decoder, first_stride)
+    return Model(net, FrontendConfig(n_mels=net.input_features), decoder, first_stride)
 
 
 # --- manifest assembly -----------------------------------------------------
@@ -106,15 +110,6 @@ def _qparams_out(p: QuantParams):
     return {"scale": p.scale, "zero_point": p.zero_point}
 
 
-def _qparams_in(d) -> QuantParams:
-    scale, zp = d["scale"], d["zero_point"]
-    if isinstance(zp, bool) or not isinstance(zp, int):
-        raise ManifestError(f"zero_point {zp!r} is not an integer")
-    if isinstance(scale, bool) or not isinstance(scale, (int, float)):
-        raise ManifestError(f"scale {scale!r} is not a real number")
-    return QuantParams(float(scale), zp)
-
-
 def _collect(model: Model):
     net = model.net
     dtypes = ("f32", "f32")
@@ -124,12 +119,6 @@ def _collect(model: Model):
             "n_classes": net.n_classes,
             "blocks": [{f: getattr(b, f) for f in _BLOCK_FIELDS} for b in net.blocks],
         }
-        layers = [
-            (f"block{i}.conv{j}", layer)
-            for i, blk in enumerate(net.blocks, start=1)
-            for j, layer in enumerate(blk.layers, start=1)
-        ]
-        layers.append(("classifier", model.stages[-1].op))
     elif isinstance(net, MlpNet):
         arch = {
             "input_frames": net.input_frames,
@@ -137,8 +126,6 @@ def _collect(model: Model):
             "hidden": [l.out_dim for l in net.hidden],
             "n_classes": net.n_classes,
         }
-        layers = [(f"layer{i}", layer) for i, layer in enumerate(net.hidden, start=1)]
-        layers.append(("classifier", net.classifier))
     elif isinstance(net, Pipeline):
         _, *dtypes, qfields = _OPERATORS[type(net.stages[-1].op)]
 
@@ -146,26 +133,30 @@ def _collect(model: Model):
             return {f: _qparams_out(getattr(op, f)) for f in qfields}
 
         *body, cls = net.stages
+        sources = {s.residual_from for s in net.stages}
         arch = {
             "input_features": net.input_features,
             "n_classes": net.n_classes,
             "chunk_size": net.chunk_size,
             "stages": [
-                {**{f: getattr(s, f) for f in _STAGE_FIELDS}, "activation": s.op.activation,
-                 **qparams(s.op)}
-                for s in body
+                {**{f: getattr(s, f) for f in _STAGE_FIELDS}, "captures_input": i in sources,
+                 "activation": s.op.activation, **qparams(s.op)}
+                for i, s in enumerate(body)
             ],
         }
         if qfields:
             arch["input_params"] = _qparams_out(net.stages[0].op.in_params)
             arch["classifier"] = {"activation": cls.op.activation, **qparams(cls.op)}
-        layers = [(s.name, s.op) for s in net.stages]
     else:
         raise ConfigError(f"cannot serialize {type(net).__name__}")
+    # Each tensor is named after its stage; a LiCo block conv is stored (D, C, K).
     tensors = []
-    for name, layer in layers:
-        tensors.append((f"{name}.weight", layer.weights, dtypes[0]))
-        tensors.append((f"{name}.bias", layer.bias, dtypes[1]))
+    for st in model.stages:
+        w = st.op.weights
+        if isinstance(net, LiCoNet) and st is not model.stages[-1]:
+            w = w.reshape(st.channels, st.kernel, -1).transpose(2, 0, 1)
+        tensors.append((f"{st.name}.weight", w, dtypes[0]))
+        tensors.append((f"{st.name}.bias", st.op.bias, dtypes[1]))
     fe = model.frontend
     tensors.append(("frontend.norm_mean", fe.norm_mean, "f32"))
     tensors.append(("frontend.norm_std", fe.norm_std, "f32"))
@@ -254,18 +245,17 @@ def _rebuild_net(manifest, tensors):
                 weights=tensors[f"{name}.weight"],
                 bias=tensors[f"{name}.bias"],
                 activation=spec["activation"],
-                **{f: _qparams_in(spec[f]) for f in qfields},
+                **{f: QuantParams(**spec[f]) for f in qfields},
             )
 
         stages = [
             PipelineStage(spec["name"], operator(spec["name"], spec), spec["channels"],
-                          spec["kernel"], spec["stride"], spec["captures_input"],
-                          spec["residual_from"])
+                          spec["kernel"], spec["stride"], spec["residual_from"])
             for spec in arch["stages"]
         ]
         cls = operator("classifier", arch["classifier"] if qfields else {"activation": "none"})
         net = Pipeline(stages + [PipelineStage("classifier", cls, cls.in_dim, 1, 1)])
-        if qfields and _qparams_in(arch["input_params"]) != net.stages[0].op.in_params:
+        if qfields and QuantParams(**arch["input_params"]) != net.stages[0].op.in_params:
             raise ManifestError("input_params differ from the first stage's in_params")
         for prev, st in zip(net.stages, net.stages[1:]):
             if qfields and st.op.in_params != prev.op.out_params:

@@ -3,41 +3,43 @@ dense operator over windows of its input columns, and one StreamState per
 stage for the stream that runs through it.
 
 Stages hold only a name, an operator, geometry and residual wiring, so
-every engine of a model shares them. A StreamState holds the newest
-max(K - s, 0) input columns its stage has seen; `reset` makes fresh ones
-and `copy` copies only them. Histories are replaced, never written in
-place, so copies may share them.
+every engine of a model shares them. A StreamState holds the unconsumed
+tail of its stage's input, which on whole strides is the newest
+max(K - s, 0) columns; `reset` makes fresh ones and `copy` copies only
+them. Histories are replaced, never written in place, so copies may
+share them.
 
 Windows flatten channel-major, x~[c*K + k] = window[c][k]. A stage
 advances a state over new input columns by appending them to its history,
 handing every (C, K) window at its stride to its operator as one (n, C*K)
 matrix (`windows`, which frames the frontend's audio too), and keeping
-the newest columns as the next history. A step feeds one first-layer
-stride of frames and emits one column per stage; `step_array` takes any
-whole number of steps in one pass. Each operator gives a window the same
-bits whatever other windows share its call, provided the window is a
-unit-stride row (`windows` copies a strided one), so a step's logits do
-not depend on how many steps run together. Priming takes each stage's history
-from the head of that stage's input and advances over the rest, so a
-following step picks up exactly where a batch pass over the prefix would.
-Calibration reads each stage's output from the same loop.
+the columns its windows did not consume as the next history. A residual
+adds the input of the stage that residual_from names: the newest input
+column of each window. A step feeds one first-layer stride of frames and
+emits one column per stage; `step_array` takes any whole number of steps
+in one pass. Each operator gives a window the same bits whatever other
+windows share its call, provided the window is a unit-stride row
+(`windows` copies a strided one), so a step's logits do not depend on how
+many steps run together. Priming is an empty start: each stage starts with
+no history and steps over the prefix like any input, so a following step
+picks up exactly where a batch pass over the prefix would. Calibration
+reads each stage's output from the same loop.
 
 An operator (a DenseOperator) supplies the arithmetic: `LinearLayer` in
 float64 and `quantize.QuantizedLinearLayer` in int8, whose columns hold
 codes minus their zero point; both stream float64 columns in which 0 is
-a zero column, so every history starts as zeros.
+a zero column, so a fresh stream's history is zeros.
 """
 
 from __future__ import annotations
 
 import copy
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, is_whole
 
 ACTIVATIONS = ("none", "relu")
 # The most steps a caller hands one run, which bounds its temporaries: a
@@ -139,7 +141,7 @@ def windows(buf: np.ndarray, kernel: int, stride: int) -> np.ndarray:
 
 @dataclass
 class StreamState:
-    """One stream's history at one stage, and the input columns per step."""
+    """One stream's unconsumed input at one stage, and its input columns per step."""
 
     history: np.ndarray
     chunk_size: int
@@ -149,8 +151,8 @@ class StreamState:
 class PipelineStage:
     """Geometry, operator and residual wiring of one stage of a plan.
 
-    A stage that captures its input passes its newest columns on as the
-    residual of the later stage whose residual_from names it.
+    A stage whose residual_from names an earlier stage adds that stage's
+    input, the newest input column of each window, to its output.
     """
 
     name: str
@@ -158,12 +160,13 @@ class PipelineStage:
     channels: int
     kernel: int
     stride: int
-    captures_input: bool = False
     residual_from: int | None = None
 
     def __post_init__(self):
         geometry = (self.channels, self.kernel, self.stride)
-        self.channels, self.kernel, self.stride = map(operator.index, geometry)
+        if not all(map(is_whole, geometry)):
+            raise ShapeError(f"{self.name}: channels, kernel, stride {geometry} must be integers")
+        self.channels, self.kernel, self.stride = map(int, geometry)
 
     @property
     def history_len(self) -> int:
@@ -174,13 +177,17 @@ class PipelineStage:
         return StreamState(np.zeros((self.channels, self.history_len)), chunk_size)
 
     def advance(self, state: StreamState, cols, residual=None, source=None) -> np.ndarray:
-        """Consume input columns; returns one output column per window."""
+        """One output column per window of [history || cols], plus the newest
+        columns of residual; after n windows the history is the tail from n*s."""
         h = state.history.shape[1]
         buf = np.concatenate([state.history, cols], axis=1) if h else cols
-        out = self.op.forward(windows(buf, self.kernel, self.stride), residual, source)
-        if h:
-            state.history = buf[:, buf.shape[1] - h :].copy()
-        return out
+        win = windows(buf, self.kernel, self.stride)
+        used = len(win) * self.stride
+        if h or used < buf.shape[1]:
+            state.history = buf[:, used:].copy()
+        if residual is not None:
+            residual = residual[:, residual.shape[1] - len(win) :]
+        return self.op.forward(win, residual, source)
 
 
 def check_geometry(stages) -> None:
@@ -202,13 +209,12 @@ def check_geometry(stages) -> None:
         r = st.residual_from
         if r is None:
             continue
-        if not (isinstance(r, int) and 0 <= r < j):
+        if not (is_whole(r) and 0 <= r < j):
             raise ShapeError(f"{st.name}: residual_from {r!r} is not an earlier stage")
         src = stages[r]
-        if not (src.captures_input and src.stride == 1 and src.channels == width):
+        if not (src.stride == 1 and src.channels == width):
             raise ShapeError(
-                f"{st.name}: residual source {src.name} must capture its input at stride 1 "
-                f"with {width} channels"
+                f"{st.name}: residual source {src.name} must have stride 1 and {width} channels"
             )
         if any(mid.kernel != 1 for mid in stages[r + 1 : j]):
             raise ShapeError(f"{st.name}: stages after its residual source must be pointwise")
@@ -254,31 +260,18 @@ class Pipeline:
         dup.states = [StreamState(s.history, s.chunk_size) for s in self.states]
         return dup
 
-    def run(self, columns: np.ndarray, prime: bool = False) -> list:
+    def run(self, columns: np.ndarray) -> list:
         """Advance every stage over float input columns; returns each
-        stage's output, classifier last, in its operator's encoding.
-
-        With prime, each stage first takes its history from the head of
-        its input.
-        """
+        stage's output, classifier last, in its operator's encoding."""
         cols = self.stages[0].op.encode(columns)
-        captured = {}
-        outputs = []
-        for idx, (st, state) in enumerate(zip(self.stages, self.states)):
-            if prime:
-                h = st.history_len
-                if cols.shape[1] < h:
-                    raise ShapeError(
-                        f"prefix leaves {cols.shape[1]} columns for {st.name}, needs {h}"
-                    )
-                state.history, cols = cols[:, :h], cols[:, h:]
-            if st.captures_input:
-                captured[idx] = cols
+        inputs, outputs = [], []
+        for st, state in zip(self.stages, self.states):
+            inputs.append(cols)
             r = st.residual_from
             if r is None:
                 cols = st.advance(state, cols)
             else:
-                cols = st.advance(state, cols, captured[r], self.stages[r].op)
+                cols = st.advance(state, cols, inputs[r], self.stages[r].op)
             outputs.append(cols)
         return outputs
 
@@ -293,9 +286,37 @@ class Pipeline:
         return self.stages[-1].op.decode(self.run(frames)[-1])
 
     def prime_array(self, prefix: np.ndarray):
-        """Warm-start every history as if the prefix had already streamed.
+        """Warm-start every history as if the prefix had already streamed:
+        each stage starts empty and keeps the unconsumed tail of its input.
 
-        The prefix should hold receptive_field - s1 columns, so that the
-        first following step has a fully real context on the stride grid.
+        The prefix holds receptive_field - s1 + k * s1 columns, k >= 0, which
+        leaves each stage its max(K - s, 0) columns on the stride grid;
+        with k = 0 the first following step has a fully real context.
         """
-        self.run(prefix, prime=True)
+        t = self.chunk_size
+        lead = receptive_field_of(self.stages) - t
+        shape = prefix.shape
+        on_grid = len(shape) == 2 and shape[1] >= lead and (shape[1] - lead) % t == 0
+        if not on_grid or shape[0] != self.input_features:
+            raise ShapeError(f"prefix shape {shape} != ({self.input_features}, {lead} + k * {t})")
+        self.states = [StreamState(np.zeros((st.channels, 0)), st.stride) for st in self.stages]
+        self.run(prefix)
+
+
+def receptive_field_of(stages) -> int:
+    """Input frames one output column of a chain of stages needs.
+
+    Counted on the first-layer stride grid: the first stage takes
+    max(K1, s1) frames (a whole stride even when the kernel is shorter),
+    and stage j widens the footprint by K_j - 1 of its input columns,
+    each s_1 * ... * s_(j-1) frames apart. For a compliant net (every
+    later stride 1), RF - s1 = max(K1 - s1, 0) + s1 * sum(K - 1) is the
+    left zero padding under which the streaming form equals batch, and
+    the priming prefix of a stream.
+    """
+    first, *later = stages
+    rf, spacing = max(first.kernel, first.stride), first.stride
+    for st in later:
+        rf += (st.kernel - 1) * spacing
+        spacing *= st.stride
+    return rf

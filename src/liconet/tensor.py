@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, ShapeError
+from .errors import InvalidInputError, ShapeError, is_whole
 
 QMIN = -128
 QMAX = 127
@@ -72,6 +72,10 @@ class QuantParams:
     zero_point: int = 0
 
     def __post_init__(self):
+        if not is_whole(self.zero_point):
+            raise InvalidInputError(f"zero_point {self.zero_point!r} is not an integer")
+        if not (is_whole(self.scale) or isinstance(self.scale, (float, np.floating))):
+            raise InvalidInputError(f"scale {self.scale!r} is not a real number")
         if not (np.isfinite(self.scale) and self.scale > 0):
             raise InvalidInputError(f"scale must be positive, got {self.scale}")
         if not QMIN <= self.zero_point <= QMAX:

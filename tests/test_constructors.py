@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from liconet.conv import Conv1DLayer
-from liconet.errors import ConfigError, ShapeError
-from liconet.model import LiCoNet, MlpNet, build_lico_block, build_mlp
-from liconet.pipeline import LinearLayer
+from liconet.errors import ConfigError, InvalidInputError, ShapeError
+from liconet.linearize import check_linearizable
+from liconet.model import LiCoNet, MlpNet, build_lico_block, build_lico_net, build_mlp
+from liconet.pipeline import LinearLayer, Pipeline, PipelineStage
+from liconet.tensor import QuantParams
 
 
 def _conv(weights=None, bias=None, stride=2, activation="relu"):
@@ -92,3 +94,36 @@ def test_lico_net_rejects(change):
     _lico()
     with pytest.raises(ConfigError):
         _lico(**change)
+
+
+def _op():
+    return LinearLayer(np.ones((2, 2)), np.zeros(2))
+
+
+# A bool is not a whole number: True passes as 1 wherever an integer check
+# forgets it, so each of these is refused.
+BOOL_CASES = {
+    "conv-stride": (lambda: _conv(stride=True), ConfigError),
+    "stage-kernel": (lambda: PipelineStage("s", _op(), 2, True, 1), ShapeError),
+    # A call written when captures_input was the sixth field of a stage.
+    "stage-residual-from": (
+        lambda: Pipeline([PipelineStage("a", _op(), 2, 1, 1),
+                          PipelineStage("b", _op(), 2, 1, 1, True)]),
+        ShapeError,
+    ),
+    "quant-zero-point": (lambda: QuantParams(0.5, True), InvalidInputError),
+    "quant-scale": (lambda: QuantParams(True, 0), InvalidInputError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOL_CASES))
+def test_a_bool_is_refused_where_a_whole_number_belongs(case):
+    build, error = BOOL_CASES[case]
+    with pytest.raises(error):
+        build()
+
+
+def test_the_linearization_gate_refuses_a_bool_chunk_size():
+    net = build_lico_net(3, 1, 4, 2, 3, 1, 2, seed=0)
+    assert check_linearizable(net, 1).compliant
+    assert not check_linearizable(net, True).compliant

@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liconet.cli import main as cli_main
+from liconet.decoder import DecoderConfig
 from liconet.errors import ConfigError, ManifestError, ModelFileError
+from liconet.frontend import FrontendConfig
 from liconet.linearize import linearize_network
 from liconet.model import build_lico_net, build_mlp
-from liconet.modelfile import default_model, load_model, save_model
+from liconet.modelfile import Model, default_model, load_model, save_model
 from liconet.quantize import calibrate_activations, quantize_network
 from liconet.runtime import make_engine
 from liconet.tensor import Tensor2D
@@ -245,3 +247,56 @@ def test_a_manifest_bool_where_a_number_belongs_fails_in_load(tmp_path, case):
         _rewrite(path, _set(*keys, value=True))
     with pytest.raises(ManifestError):
         load_model(path)
+
+
+BOOL_GEOMETRY = {
+    "pointwise-kernel": ("linearized", ("arch", "stages", 1, "kernel")),
+    "block-stride": ("lico", ("arch", "blocks", 1, "stride")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOL_GEOMETRY))
+def test_a_manifest_bool_in_stage_geometry_fails_in_load(tmp_path, case):
+    """Both entries are 1 in the saved file, and true == 1 in JSON."""
+    kind, keys = BOOL_GEOMETRY[case]
+    path = _save(tmp_path, kind)
+    _rewrite(path, _set(*keys, value=True))
+    with pytest.raises(ManifestError):
+        load_model(path)
+
+
+def test_a_residual_source_that_no_residual_reads_fails_in_load(tmp_path):
+    """captures_input is written from the residual_from entries, so a file
+    may not flag a stage that no residual reads."""
+    path = _save(tmp_path, "linearized")
+    _rewrite(path, _set("arch", "stages", 1, "captures_input", value=True))
+    with pytest.raises(ManifestError):
+        load_model(path)
+
+
+def test_a_frontend_that_does_not_feed_the_net_fails_in_load(tmp_path):
+    """39 mel bands, with 39-long normalization tensors, for a net of 40
+    input features."""
+    path = tmp_path / "m.lcn"
+    save_model(default_model(build_lico_net(40, 1, 4, 2, 3, 1, 3, seed=0)), path)
+    load_model(path)
+
+    def mutate(manifest):
+        manifest["frontend"]["n_mels"] = 39
+        for entry in manifest["tensors"][-2:]:  # norm_mean and norm_std, stored last
+            entry["shape"], entry["byte_len"] = [39], 39 * 4
+
+    _rewrite(path, mutate)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-320] + raw[-320:-164] + raw[-160:-4])
+    with pytest.raises(ManifestError, match="mel bands"):
+        load_model(path)
+
+
+def test_a_model_whose_frontend_does_not_feed_its_net_is_refused():
+    net = build_mlp(4, 3, 5, 4, 3, seed=9)
+    assert default_model(net).frontend.n_mels == 3
+    decoder = DecoderConfig.default(3, 1)
+    Model(net, FrontendConfig(n_mels=3), decoder, 1)
+    with pytest.raises(ConfigError, match="mel bands"):
+        Model(net, FrontendConfig(), decoder, 1)

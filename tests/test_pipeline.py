@@ -432,3 +432,40 @@ def test_split_of_a_residual_first_block_from_a_file_leaves_its_bits(tmp_path, k
         single.prime_array(x[:, :prime])
         body = x[:, prime:]
         assert whole.step_array(body).tobytes() == _step_all(single, body, 1).tobytes()
+
+
+@pytest.mark.parametrize(
+    "kind, engine", [("lico", "conv"), ("mlp", "conv"), ("linearized", "linear"), ("quantized", "int8")]
+)
+def test_prime_array_takes_only_a_prefix_on_the_stride_grid(kind, engine):
+    """RF - s1 + k * s1 frames of the net's width, which leave every stage
+    exactly max(K - s, 0) columns; any other prefix is refused."""
+    model = _models()[kind]
+    eng = make_engine(model, engine)
+    t, lead = model.first_stride, model.receptive_field - model.first_stride
+    assert t == 2 and lead >= 2
+    for shape in [(3, lead + 1), (3, lead - 1), (3, lead + 2 * t - 1), (2, lead), (4, lead + t),
+                  (lead,), (1, 3, lead)]:
+        with pytest.raises(ShapeError):
+            eng.prime_array(np.zeros(shape))
+    for k in (0, 1, 3):
+        eng.prime_array(np.ones((3, lead + k * t)))
+        assert [s.history.shape[1] for s in eng.states] == [st.history_len for st in eng.stages]
+
+
+@pytest.mark.parametrize(
+    "kind, engine", [("lico", "conv"), ("mlp", "conv"), ("quantized", "int8")]
+)
+@pytest.mark.parametrize("k", [1, 3])
+def test_a_prime_over_k_more_strides_equals_a_prime_then_k_steps(kind, engine, k):
+    model = _models()[kind]
+    t, lead = model.first_stride, model.receptive_field - model.first_stride
+    x = 2 * np.random.default_rng(k).normal(size=(3, lead + (k + 6) * t))
+    long, short = make_engine(model, engine), make_engine(model, engine)
+    long.prime_array(x[:, : lead + k * t])
+    short.prime_array(x[:, :lead])
+    _step_all(short, x[:, lead : lead + k * t], t)
+    for a, b in zip(long.states, short.states):
+        assert a.history.tobytes() == b.history.tobytes()
+    rest = x[:, lead + k * t :]
+    assert long.step_array(rest).tobytes() == short.step_array(rest).tobytes()
