@@ -50,6 +50,9 @@ class LiCoBlock:
             raise ConfigError("conv1 and conv2 must use relu")
         if self.conv3.activation != "none":
             raise ConfigError("conv3 must have no activation")
+        if not isinstance(self.residual, (bool, np.bool_)):
+            raise ConfigError(f"residual {self.residual!r} is not a bool")
+        object.__setattr__(self, "residual", bool(self.residual))
         if self.residual and not (self.conv1.stride == 1 and self.in_channels == w):
             raise ConfigError("residual requires stride 1 and matching channel widths")
 

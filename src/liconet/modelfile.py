@@ -115,7 +115,7 @@ def _collect(model: Model):
     dtypes = ("f32", "f32")
     if isinstance(net, LiCoNet):
         arch = {
-            "input_features": net.input_features,
+            "input_features": model.stages[0].channels,  # the net's own field may be 3.0
             "n_classes": net.n_classes,
             "blocks": [{f: getattr(b, f) for f in _BLOCK_FIELDS} for b in net.blocks],
         }
@@ -196,9 +196,9 @@ def _read_tensors(manifest, blob):
         if not all(type(n) is int and n >= 0 for n in shape):  # bools are not sizes
             raise ManifestError(f"tensor {name}: shape {shape} is not of non-negative integers")
         expected = math.prod(shape) * _DTYPES[dtype].itemsize
-        if byte_len != expected:
+        if type(byte_len) is not int or byte_len != expected:
             raise ManifestError(
-                f"tensor {name}: shape {shape} implies {expected} bytes, manifest says {byte_len}"
+                f"tensor {name}: shape {shape} implies {expected} bytes, manifest says {byte_len!r}"
             )
         if offset + byte_len > len(blob):
             raise TruncatedError(
@@ -264,6 +264,17 @@ def _rebuild_net(manifest, tensors):
     raise ManifestError(f"unknown model kind {kind!r}")
 
 
+def _same_types(a, b) -> bool:
+    """Whether equal JSON containers hold values of one type throughout:
+    1 equals true and 800.0 equals 800, but neither is the same value."""
+    for key, x in a.items() if type(a) is dict else enumerate(a):
+        y = b[key]
+        kind = type(x)
+        if kind is not type(y) or kind in (dict, list) and not _same_types(x, y):
+            return False
+    return True
+
+
 def load_model(path) -> Model:
     """Read and fully validate a model file before any inference runs."""
     with open(path, "rb") as f:
@@ -283,7 +294,8 @@ def load_model(path) -> Model:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
     try:
-        tensors = _read_tensors(manifest, raw[10 + manifest_len :])
+        # A view, not a copy of the blob: each tensor is copied out by astype.
+        tensors = _read_tensors(manifest, memoryview(raw)[10 + manifest_len :])
         net = _rebuild_net(manifest, tensors)
         fe = manifest["frontend"]
         frontend = FrontendConfig(
@@ -295,10 +307,15 @@ def load_model(path) -> Model:
         model = Model(net, frontend, decoder, manifest["first_stride"])
         # Saving the rebuilt model must write back the same arch and tensor
         # entries: the manifest may state nothing that the model does not do.
+        # The arch passed through constructors that take 3.0 for 3, so its
+        # types are compared too; tensor entries hold only strings and the
+        # integers _read_tensors checked.
         written, named = _collect(model)
-        for key, want in (("arch", written["arch"]), ("tensors", [_entry(*t) for t in named])):
-            if manifest[key] != want:
-                raise ManifestError(f"{key} entries differ from those the rebuilt model saves")
+        arch, want = manifest["arch"], written["arch"]
+        if arch != want or not _same_types(arch, want):
+            raise ManifestError("arch entries differ from those the rebuilt model saves")
+        if manifest["tensors"] != [_entry(*t) for t in named]:
+            raise ManifestError("tensors entries differ from those the rebuilt model saves")
         return model
     except KeyError as exc:
         raise ManifestError(f"manifest missing field {exc}") from exc

@@ -11,19 +11,22 @@ share them.
 
 Windows flatten channel-major, x~[c*K + k] = window[c][k]. A stage
 advances a state over new input columns by appending them to its history,
-handing every (C, K) window at its stride to its operator as one (n, C*K)
-matrix (`windows`, which frames the frontend's audio too), and keeping
-the columns its windows did not consume as the next history. A residual
-adds the input of the stage that residual_from names: the newest input
-column of each window. A step feeds one first-layer stride of frames and
-emits one column per stage; `step_array` takes any whole number of steps
-in one pass. Each operator gives a window the same bits whatever other
-windows share its call, provided the window is a unit-stride row
-(`windows` copies a strided one), so a step's logits do not depend on how
-many steps run together. Priming is an empty start: each stage starts with
-no history and steps over the prefix like any input, so a following step
-picks up exactly where a batch pass over the prefix would. Calibration
-reads each stage's output from the same loop.
+handing every (C, K) window that a whole stride completes to its operator
+as one (n, C*K) matrix, and keeping the columns its windows did not
+consume, a partial stride included, as the next history. `windows` frames
+them, and the frontend's audio, through one strided view: a pointwise
+stage's rows are a free view of the previous operator's output, a
+kernel-K stage's rows one gather copy, and a lone window is copied
+directly. A residual adds the input of the stage that residual_from
+names: the newest input column of each window. A step feeds one
+first-layer stride of frames and emits one column per stage; `step_array`
+takes any whole number of steps in one pass. Each operator gives a window
+the same bits whatever other windows share its call, provided the window
+is a unit-stride row (`windows` copies a strided one), so a step's logits
+do not depend on how many steps run together. Priming is an empty start:
+each stage starts with no history and steps over the prefix like any
+input, so a following step picks up exactly where a batch pass over the
+prefix would. Calibration reads each stage's output from the same loop.
 
 An operator (a DenseOperator) supplies the arithmetic: `LinearLayer` in
 float64 and `quantize.QuantizedLinearLayer` in int8, whose columns hold
@@ -37,7 +40,7 @@ import copy
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, ShapeError, is_whole
 
@@ -127,16 +130,33 @@ class LinearLayer(DenseOperator):
 
 
 def windows(buf: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """Every window of buf (C, T) at the given stride, flattened to (n, C*K),
-    each a unit-stride row: np.vecmat sums a strided row in another order."""
+    """Every window of buf (C, T) that a whole stride completes, flattened
+    channel-major to (n, C*K): n = (T - max(K, s)) // s + 1, or none.
+
+    Rows are unit-stride, since np.vecmat sums a strided row in another
+    order. A lone window is copied unless it is already a contiguous slice
+    of buf. More windows come from one read-only strided view: at K = 1 its
+    rows are buf's columns, free when buf holds them unit-stride, as an
+    operator's transposed output does; at K > 1 reshaping it copies once,
+    unless C = 1 (the frontend's samples).
+    """
     c, t = buf.shape
-    if t < kernel:
-        return np.empty((0, c * kernel), buf.dtype)
-    if t < kernel + stride:  # exactly one window, without a strided view
+    span = kernel if kernel > stride else stride
+    if span <= t < span + stride:  # live steps: a strided view costs more than this copy
         return np.ascontiguousarray(buf[:, :kernel].reshape(1, c * kernel))
-    view = sliding_window_view(buf, kernel, axis=1)[:, ::stride]
-    rows = view.transpose(1, 0, 2).reshape(-1, c * kernel)
-    return rows if rows.strides[1] == rows.itemsize else rows.copy()
+    if t < span:
+        return np.empty((0, c * kernel), buf.dtype)
+    n = (t - span) // stride + 1
+    if kernel == 1:
+        rows = buf.T[: n * stride : stride]
+    else:
+        sc, st = buf.strides
+        view = as_strided(buf, (n, c, kernel), (stride * st, sc, st), writeable=False)
+        rows = view.reshape(n, c * kernel)
+    if rows.strides[1] != rows.itemsize:
+        return rows.copy()
+    rows.setflags(write=False)
+    return rows
 
 
 @dataclass

@@ -138,6 +138,12 @@ MALFORMED = {
     "lico-classes": ("lico", _set("arch", "n_classes", value=lambda n: n + 1)),
     "mlp-classes": ("mlp", _set("arch", "n_classes", value=lambda n: n + 1)),
     "mlp-hidden": ("mlp", _set("arch", "hidden", 0, value=lambda h: h + 1)),
+    # Equal in JSON value but not in type: 1 is not true, nor 3.0 3.
+    "residual-int": ("lico", _set("arch", "blocks", 1, "residual", value=1)),
+    "captures-input-int": ("linearized", _set("arch", "stages", 3, "captures_input", value=1)),
+    "lico-features-float": ("lico", _set("arch", "input_features", value=float)),
+    "lico-width-float": ("lico", _set("arch", "blocks", 0, "width", value=float)),
+    "chunk-size-float": ("quantized", _set("arch", "chunk_size", value=float)),
     "extra-tensor": ("linearized", _set("tensors", value=lambda t: t + [
         {"name": "extra.weight", "dtype": "f32", "shape": [0], "byte_len": 0}
     ])),

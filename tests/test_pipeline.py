@@ -32,7 +32,7 @@ from liconet.errors import ShapeError
 from liconet.linearize import linearize_network
 from liconet.model import build_lico_net, build_mlp, network_forward, receptive_field
 from liconet.modelfile import default_model, load_model, save_model
-from liconet.pipeline import LinearLayer, Pipeline, PipelineStage
+from liconet.pipeline import LinearLayer, Pipeline, PipelineStage, windows
 from liconet.quantize import (
     MAX_IN_DIM,
     CalibrationRanges,
@@ -469,3 +469,49 @@ def test_a_prime_over_k_more_strides_equals_a_prime_then_k_steps(kind, engine, k
         assert a.history.tobytes() == b.history.tobytes()
     rest = x[:, lead + k * t :]
     assert long.step_array(rest).tobytes() == short.step_array(rest).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    c=st.integers(1, 5),
+    k=st.integers(1, 6),
+    s=st.integers(1, 6),
+    n=st.sampled_from([0, 1, 2, 7]),
+    extra=st.integers(0, 5),
+    transposed=st.booleans(),
+    seed=st.integers(0, 2**30),
+)
+def test_framing_equals_a_per_window_slice_loop(c, k, s, n, extra, transposed, seed):
+    """n = (T - max(K, s)) // s + 1 windows, or none, over a contiguous
+    buffer or an operator's transposed (n, out) output: every row equals
+    its slice and is unit-stride, and views of many windows are read-only."""
+    span = max(k, s)
+    t = span + (n - 1) * s + extra % s if n else extra % span
+    data = np.random.default_rng(seed).normal(size=(t, c) if transposed else (c, t))
+    buf = data.T if transposed else data
+    rows = windows(buf, k, s)
+    loop = [buf[:, i * s : i * s + k].reshape(-1) for i in range(n)]
+    assert rows.shape == (n, c * k)
+    assert rows.tobytes() == np.array(loop).reshape(n, c * k).tobytes()
+    assert n == 0 or rows.strides[1] == rows.itemsize
+    if n > 1 and np.shares_memory(rows, buf):
+        assert not rows.flags.writeable
+
+
+def test_framing_leaves_a_partial_stride_in_the_history():
+    """With K1 < s1 a first-stage window needs a whole stride of frames, not
+    only its kernel, so a run over 9 frames equals runs over 2 and 7."""
+    net = build_lico_net(3, 1, 4, 2, 2, 3, 2, seed=0)
+    lnet = linearize_network(net, 3)
+    calib = Tensor2D(np.random.default_rng(1).normal(size=(3, 120)))
+    qnet = quantize_network(lnet, calibrate_activations(lnet, calib))
+    x = np.random.default_rng(2).normal(size=(3, 9))
+    for built, engine in ((net, "conv"), (lnet, "linear"), (qnet, "int8")):
+        model = default_model(built, first_stride=3)
+        whole, split = make_engine(model, engine), make_engine(model, engine)
+        out = whole.run(x)[-1]
+        parts = [split.run(x[:, :2])[-1], split.run(x[:, 2:])[-1]]
+        assert out.shape[1] == 3
+        assert np.concatenate(parts, axis=1).tobytes() == out.tobytes()
+        for a, b in zip(whole.states, split.states):
+            assert a.history.tobytes() == b.history.tobytes()
