@@ -19,7 +19,7 @@ from .linearize import check_linearizable, linearize_network
 from .model import build_lico_net, build_mlp, count_macs_per_step, count_params, network_forward
 from .modelfile import Model, default_model, load_model, save_model
 from .quantize import calibrate_activations, quantize_network
-from .runtime import make_engine, read_wav, run_stream
+from .runtime import ENGINES, make_engine, read_wav, run_stream
 from .tensor import Tensor2D
 
 LICO_PRESETS = {
@@ -47,8 +47,7 @@ def _cmd_info(args) -> int:
     try:
         macs = count_macs_per_step(model.net)
     except NotLinearizableError as exc:
-        reasons = "; ".join(f"{lid}: {why}" for lid, why in exc.report.violations)
-        macs = f"n/a (not linearizable: {reasons})"
+        macs = f"n/a (not linearizable: {exc.reasons})"
     print(f"kind {model.kind}, stride {model.first_stride}")
     print(f"params {count_params(model.net)}, macs {macs}")
     print(f"receptive field {model.receptive_field} frames")
@@ -191,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="stream a WAV and print detection events")
     p.add_argument("model")
     p.add_argument("--wav", required=True)
-    p.add_argument("--engine", choices=("conv", "linear", "int8"), default="linear")
+    p.add_argument("--engine", choices=ENGINES, default="linear")
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--posteriors", default=None)
     p.set_defaults(func=_cmd_run)

@@ -23,13 +23,14 @@ class InvalidInputError(ValueError):
 class NotLinearizableError(RuntimeError):
     """Network fails the chunk-equals-stride / unit-stride conditions.
 
-    Carries the offending report so callers can surface layer names.
+    Carries the offending report, and its violations joined as reasons,
+    so callers can surface layer names.
     """
 
     def __init__(self, report):
-        lines = "; ".join(f"{lid}: {reason}" for lid, reason in report.violations)
-        super().__init__(f"network is not linearizable: {lines}")
         self.report = report
+        self.reasons = "; ".join(f"{lid}: {reason}" for lid, reason in report.violations)
+        super().__init__(f"network is not linearizable: {self.reasons}")
 
 
 class CalibrationError(RuntimeError):

@@ -26,14 +26,6 @@ from .pipeline import windows
 _BLOCK_FRAMES = 256
 
 
-def hz_to_mel(f):
-    return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
-
-
-def mel_to_hz(m):
-    return 700.0 * (np.power(10.0, np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
-
-
 @dataclass(frozen=True, eq=False)
 class FrontendConfig:
     sample_rate: int = 16000
@@ -93,16 +85,11 @@ class FrontendConfig:
         return w
 
     @cached_property
-    def mel_edges_hz(self) -> np.ndarray:
-        mels = np.linspace(hz_to_mel(self.fmin), hz_to_mel(self.fmax), self.n_mels + 2)
-        edges = mel_to_hz(mels)
-        edges.setflags(write=False)
-        return edges
-
-    @cached_property
     def mel_bank(self) -> np.ndarray:
-        """Triangular filters sampled at the FFT bin frequencies."""
-        edges = self.mel_edges_hz
+        """Triangular filters at the FFT bin frequencies, spaced evenly in HTK mel."""
+        mel_min, mel_max = 2595.0 * np.log10(1.0 + np.array([self.fmin, self.fmax]) / 700.0)
+        mels = np.linspace(mel_min, mel_max, self.n_mels + 2)
+        edges = 700.0 * (np.power(10.0, mels / 2595.0) - 1.0)
         bins = np.arange(self.n_fft // 2 + 1) * (self.sample_rate / self.n_fft)
         bank = np.zeros((self.n_mels, bins.size))
         for m in range(self.n_mels):
@@ -112,14 +99,6 @@ class FrontendConfig:
             bank[m] = np.maximum(0.0, np.minimum(rising, falling))
         bank.setflags(write=False)
         return bank
-
-
-def pcm_to_float(samples) -> np.ndarray:
-    """16-bit signed PCM to [-1, 1) by division by 32768; floats pass through."""
-    arr = np.asarray(samples)
-    if arr.dtype == np.int16:
-        return arr.astype(np.float64) / 32768.0
-    return arr.astype(np.float64)
 
 
 class FeatureStream:
@@ -136,11 +115,13 @@ class FeatureStream:
         self._buffer = np.zeros(0)
 
     def push(self, samples) -> np.ndarray:
-        """Feed PCM; returns the newly completed frames as (n_mels, k),
-        transformed at most _BLOCK_FRAMES to a pass."""
+        """Feed 16-bit (divided by 32768) or float PCM; returns the newly
+        completed frames as (n_mels, k), transformed at most _BLOCK_FRAMES to a pass."""
         cfg = self.cfg
         hop, win = cfg.hop_samples, cfg.window_samples
-        buf = np.concatenate([self._buffer, pcm_to_float(samples)])
+        pcm = np.asarray(samples)
+        pcm = pcm / 32768.0 if pcm.dtype == np.int16 else pcm.astype(np.float64)
+        buf = np.concatenate([self._buffer, pcm])
         blocks = [np.zeros((cfg.n_mels, 0))]
         while buf.size >= win:
             frames = windows(buf[None, : (_BLOCK_FRAMES - 1) * hop + win], win, hop)

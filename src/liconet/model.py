@@ -177,8 +177,6 @@ def build_lico_block(c_in, w, e, kernel, stride, seed) -> LiCoBlock:
         raise ConfigError(f"expansion must be >= 2, got {e}")
     if kernel < 2:
         raise ConfigError(f"kernel must be >= 2, got {kernel}")
-    if stride < 1:
-        raise ConfigError(f"stride must be >= 1, got {stride}")
     if c_in < 1 or w < 1:
         raise ConfigError("channel widths must be positive")
     rng = _as_rng(seed)

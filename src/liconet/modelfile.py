@@ -255,8 +255,6 @@ def _rebuild_net(manifest, tensors):
         ]
         cls = operator("classifier", arch["classifier"] if qfields else {"activation": "none"})
         net = Pipeline(stages + [PipelineStage("classifier", cls, cls.in_dim, 1, 1)])
-        if qfields and QuantParams(**arch["input_params"]) != net.stages[0].op.in_params:
-            raise ManifestError("input_params differ from the first stage's in_params")
         for prev, st in zip(net.stages, net.stages[1:]):
             if qfields and st.op.in_params != prev.op.out_params:
                 raise ManifestError(f"{st.name}: in_params differ from {prev.name}'s out_params")

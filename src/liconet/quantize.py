@@ -148,11 +148,6 @@ def calibrate_activations(lnet: Pipeline, calib_stream: Tensor2D) -> Calibration
     return CalibrationRanges(float(used.min()), float(used.max()), ranges)
 
 
-def _weight_params(w: np.ndarray) -> QuantParams:
-    a = float(np.max(np.abs(w))) if w.size else 0.0
-    return choose_quant_params(-a, a, "symmetric")
-
-
 def quantize_network(lnet: Pipeline, ranges: CalibrationRanges) -> Pipeline:
     """Quantize every stage of a float64 pipeline using calibrated ranges."""
     if len(ranges.stage_ranges) != len(lnet.stages):
@@ -163,7 +158,8 @@ def quantize_network(lnet: Pipeline, ranges: CalibrationRanges) -> Pipeline:
     stages = []
     for st, rng in zip(lnet.stages, ranges.stage_ranges):
         layer = st.op
-        wp = _weight_params(layer.weights)
+        a = float(np.max(np.abs(layer.weights)))
+        wp = choose_quant_params(-a, a, "symmetric")
         out_params = choose_quant_params(rng.out_min, rng.out_max, "asymmetric")
         qlayer = QuantizedLinearLayer(
             quantize_array(layer.weights, wp),

@@ -117,10 +117,6 @@ def quantize_array(arr: np.ndarray, p: QuantParams) -> np.ndarray:
     return np.clip(q, QMIN, QMAX).astype(np.int8)
 
 
-def dequantize_array(q: np.ndarray, p: QuantParams) -> np.ndarray:
-    return (q.astype(np.float64) - p.zero_point) * p.scale
-
-
 def quantize_affine(x: Tensor2D, p: QuantParams) -> QuantTensor:
     """Quantize a feature map to int8 under the given params."""
     return QuantTensor(quantize_array(x.data, p), p)
@@ -128,7 +124,7 @@ def quantize_affine(x: Tensor2D, p: QuantParams) -> QuantTensor:
 
 def dequantize_affine(q: QuantTensor) -> Tensor2D:
     """Recover the real-valued map scale * (q - zero_point)."""
-    return Tensor2D(dequantize_array(q.data, q.params))
+    return Tensor2D((q.data.astype(np.float64) - q.params.zero_point) * q.params.scale)
 
 
 def choose_quant_params(min_v: float, max_v: float, mode: str = "asymmetric") -> QuantParams:

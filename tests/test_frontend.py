@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liconet.frontend import FeatureStream, FrontendConfig
-from reference import logmel_frames_loops
+from reference import htk_mel_centers, logmel_frames_loops
 
 CFG = FrontendConfig()
 PCM = np.random.default_rng(31).normal(0.0, 0.2, size=3000)
@@ -94,3 +94,28 @@ def test_short_and_empty_pushes_emit_nothing_until_a_window_fills(name):
 def test_random_splits_match_the_frame_loop(cuts, name, dtype):
     pcm = _pcm(dtype, 40000)
     _expect_oracle(CONFIGS[name], pcm, np.split(pcm, sorted(cuts)))
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{}, dict(sample_rate=8000, n_mels=23, fmin=20.0, fmax=3800.0)], ids=["default", "8k"]
+)
+def test_mel_bank_matches_triangles_built_bin_by_bin(kwargs):
+    """Filter m rises from edge m to edge m + 1 and falls to edge m + 2, the
+    edges being fmin, the HTK mel centers and fmax; each rfft bin k sits at
+    k * sample_rate / n_fft, n_fft the power of two at or above the window."""
+    cfg = FrontendConfig(**kwargs)
+    fmin, fmax = kwargs.get("fmin", 0.0), kwargs.get("fmax", cfg.sample_rate / 2)
+    edges = [fmin, *htk_mel_centers(cfg.n_mels, fmin, fmax), fmax]
+    win = round(cfg.sample_rate * 0.025)
+    n_fft = 1 << (win - 1).bit_length()
+    want = np.zeros((cfg.n_mels, n_fft // 2 + 1))
+    for m in range(cfg.n_mels):
+        lo, mid, hi = edges[m : m + 3]
+        for k in range(n_fft // 2 + 1):
+            f = k * cfg.sample_rate / n_fft
+            if lo < f <= mid:
+                want[m, k] = (f - lo) / (mid - lo)
+            elif mid < f < hi:
+                want[m, k] = (hi - f) / (hi - mid)
+    assert cfg.mel_bank.shape == want.shape
+    np.testing.assert_allclose(cfg.mel_bank, want, rtol=0, atol=1e-12)

@@ -94,6 +94,24 @@ def test_int8_input_params_must_match_first_stage(tmp_path):
         load_model(path)
 
 
+# The loader reads no input_params: the first stage's in_params are the
+# input's, and saving the rebuilt model writes them back as input_params.
+INPUT_PARAMS = {
+    "deleted": lambda manifest: manifest["arch"].pop("input_params"),
+    "extra-key": _set("arch", "input_params", value=lambda p: {**p, "bits": 8}),
+    "list": _set("arch", "input_params", value=lambda p: [p["scale"], p["zero_point"]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_PARAMS))
+def test_int8_input_params_that_saving_would_not_write_fail_the_round_trip(tmp_path, case):
+    path = _save(tmp_path, "quantized")
+    load_model(path)
+    _rewrite(path, INPUT_PARAMS[case])
+    with pytest.raises(ManifestError, match="arch entries differ"):
+        load_model(path)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("entry", [1e300, 1.5, -1, True])
 def test_shape_entries_must_be_non_negative_integers(tmp_path, entry):
