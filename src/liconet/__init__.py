@@ -33,7 +33,7 @@ from .errors import (
     VersionError,
 )
 from .frontend import FeatureStream, FrontendConfig
-from .linearize import LinearizabilityReport, check_linearizable, linearize_network
+from .linearize import check_linearizable, linearize_network
 from .model import (
     LiCoBlock,
     LiCoNet,
@@ -51,7 +51,7 @@ from .model import (
     stage_plan,
 )
 from .modelfile import Model, default_model, load_model, save_model
-from .pipeline import Pipeline, PipelineStage
+from .pipeline import LinearizabilityReport, Pipeline, PipelineStage
 from .quantize import (
     CalibrationRanges,
     QuantizedLinearLayer,

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from .errors import CalibrationError, ModelFileError, NotLinearizableError
 from .frontend import FeatureStream
 from .linearize import check_linearizable, linearize_network
 from .model import build_lico_net, build_mlp, count_macs_per_step, count_params, network_forward
-from .modelfile import Model, default_model, load_model, save_model
+from .modelfile import default_model, load_model, save_model
 from .quantize import calibrate_activations, quantize_network
 from .runtime import ENGINES, make_engine, read_wav, run_stream
 from .tensor import Tensor2D
@@ -74,7 +75,7 @@ def _cmd_check(args) -> int:
 def _cmd_linearize(args) -> int:
     model = load_model(args.model)
     lnet = make_engine(model, "conv")  # a float model's plan, if the gate passes
-    save_model(Model(lnet, model.frontend, model.decoder, model.first_stride), args.out)
+    save_model(replace(model, net=lnet), args.out)
     print(f"wrote linearized pipeline ({len(lnet.stages) - 1} stages + classifier) to {args.out}")
     return 0
 
@@ -86,7 +87,7 @@ def _cmd_quantize(args) -> int:
     features = FeatureStream(model.frontend).push(pcm)
     ranges = calibrate_activations(lnet, Tensor2D(features))
     qnet = quantize_network(lnet, ranges)
-    save_model(Model(qnet, model.frontend, model.decoder, model.first_stride), args.out)
+    save_model(replace(model, net=qnet), args.out)
     print(f"wrote int8 pipeline calibrated on {features.shape[1]} frames to {args.out}")
     return 0
 
@@ -120,7 +121,7 @@ def _cmd_verify(args) -> int:
     conv_out = conv.step_array(stream)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "linear.lcn"
-        save_model(Model(linearize_network(net, t), model.frontend, model.decoder, t), path)
+        save_model(replace(model, net=linearize_network(net, t)), path)
         lin_eng = make_engine(load_model(path), "linear")
     lin_out = lin_eng.step_array(stream)
 
@@ -190,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="stream a WAV and print detection events")
     p.add_argument("model")
     p.add_argument("--wav", required=True)
-    p.add_argument("--engine", choices=ENGINES, default="linear")
+    p.add_argument("--engine", choices=ENGINES, default="linear",
+                   help="on a float model, conv and linear run the same stages and arithmetic")
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--posteriors", default=None)
     p.set_defaults(func=_cmd_run)

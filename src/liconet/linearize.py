@@ -1,44 +1,13 @@
-"""The linearization gate and the float64 pipeline of a compliant network.
-
-A network's stage plan (model.stage_plan) already holds one dense operator
-per layer over channel-major windows, Wd[c*K + k][d] = W[d][c][k]. A
-stage whose input advances by its stride per step computes exactly one
-dense product per step, so when the first stride equals the chunk size
-and every later stride is 1, the whole network steps as one GEMV per
-stage. The gate checks exactly that on the plan.
+"""The linearization gate on a network at a chunk size, and the float64
+pipeline of a network that passes it. A network's stage plan already holds
+one dense operator per layer; the gate on a plan is pipeline.check_stages.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotLinearizableError, is_whole
 from .model import MlpNet, stage_plan
-from .pipeline import Pipeline
-
-
-@dataclass(frozen=True)
-class LinearizabilityReport:
-    """Outcome of the conversion gate; violations are (layer id, reason)."""
-
-    violations: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "violations", tuple(self.violations))
-
-    @property
-    def compliant(self) -> bool:
-        return not self.violations
-
-
-def check_stages(stages, t: int) -> LinearizabilityReport:
-    """The gate on a stage plan: first stride t, every later stride 1."""
-    first, *later = stages
-    violations = [] if first.stride == t else [
-        (first.name, f"first layer stride {first.stride} != chunk size {t}")
-    ]
-    violations += [(st.name, f"stride {st.stride} != 1") for st in later if st.stride != 1]
-    return LinearizabilityReport(violations)
+from .pipeline import LinearizabilityReport, Pipeline, check_stages
 
 
 def check_linearizable(net, t: int) -> LinearizabilityReport:

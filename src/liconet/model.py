@@ -18,13 +18,15 @@ import numpy as np
 
 from .conv import Conv1DLayer, conv_stage, conv_valid
 from .errors import ConfigError, ShapeError
-from .pipeline import LinearLayer, Pipeline, PipelineStage, check_geometry, receptive_field_of
+from .pipeline import LinearLayer, Pipeline, PipelineStage, check_geometry, linear_plan
+from .pipeline import receptive_field_of
 from .tensor import Tensor2D
 
 
 @dataclass(frozen=True)
 class LiCoBlock:
-    """Three-layer bottleneck: one K-conv followed by two pointwise convs."""
+    """Three-layer bottleneck: one K-conv followed by two pointwise convs.
+    The net that holds it checks how the layers chain and the residual."""
 
     conv1: Conv1DLayer
     conv2: Conv1DLayer
@@ -39,11 +41,9 @@ class LiCoBlock:
         if self.conv2.stride != 1 or self.conv3.stride != 1:
             raise ConfigError("pointwise layers must have stride 1")
         w = self.conv1.out_channels
-        if self.conv2.in_channels != w or self.conv3.out_channels != w:
+        if self.conv3.out_channels != w:
             raise ConfigError("channel plan must be c_in -> w -> e*w -> w")
         inner = self.conv2.out_channels
-        if self.conv3.in_channels != inner:
-            raise ConfigError("conv3 input must match the expanded width")
         if inner % w != 0 or inner // w < 2:
             raise ConfigError(f"expansion {inner}/{w} must be an integer >= 2")
         if self.conv1.activation != "relu" or self.conv2.activation != "relu":
@@ -53,8 +53,6 @@ class LiCoBlock:
         if not isinstance(self.residual, (bool, np.bool_)):
             raise ConfigError(f"residual {self.residual!r} is not a bool")
         object.__setattr__(self, "residual", bool(self.residual))
-        if self.residual and not (self.conv1.stride == 1 and self.in_channels == w):
-            raise ConfigError("residual requires stride 1 and matching channel widths")
 
     @property
     def in_channels(self) -> int:
@@ -258,20 +256,6 @@ def stage_plan(net, first_stride: int | None = None) -> list:
     return stages
 
 
-def _plan_forward(stages, x: np.ndarray) -> np.ndarray:
-    """Each stage as a strided valid convolution over the whole input."""
-    inputs = []
-    for st in stages:
-        inputs.append(x)
-        op = st.op
-        w = op.weights.reshape(st.channels, st.kernel, op.out_dim).transpose(2, 0, 1)
-        x = conv_valid(x, w, op.bias, st.stride, op.activation)
-        if st.residual_from is not None:  # the newest input column of each window
-            src = inputs[st.residual_from]
-            x = x + src[:, src.shape[1] - x.shape[1] :]
-    return x
-
-
 def receptive_field(net, first_stride: int | None = None) -> int:
     """Input frames one output column needs, on the first-layer stride grid.
 
@@ -296,7 +280,18 @@ def network_forward(net, x: Tensor2D, first_stride: int | None = None) -> Tensor
     if x.frames < rf:
         raise ShapeError(f"input has {x.frames} frames, receptive field needs {rf}")
     stepped = x.frames - (x.frames - rf) % stages[0].stride
-    return Tensor2D(_plan_forward(stages, x.data[:, :stepped]))
+    # Each stage as a strided valid convolution over the whole input.
+    y = x.data[:, :stepped]
+    inputs = []
+    for st in stages:
+        inputs.append(y)
+        op = st.op
+        w = op.weights.reshape(st.channels, st.kernel, op.out_dim).transpose(2, 0, 1)
+        y = conv_valid(y, w, op.bias, st.stride, op.activation)
+        if st.residual_from is not None:  # the newest input column of each window
+            src = inputs[st.residual_from]
+            y = y + src[:, src.shape[1] - y.shape[1] :]
+    return Tensor2D(y)
 
 
 def count_params(net) -> int:
@@ -315,10 +310,8 @@ def count_macs_per_step(net) -> int:
     i.e. the network passes the linearization gate; otherwise raises.
     Equals count_params minus the number of bias elements.
     """
-    from .linearize import linearize_network
-
-    lnet = linearize_network(net, stage_plan(net)[0].stride)  # raises unless it passes the gate
-    return sum(st.op.mac_count for st in lnet.stages)
+    stages = stage_plan(net)
+    return sum(st.op.mac_count for st in linear_plan(stages, stages[0].stride))
 
 
 class StreamingNetwork(Pipeline):

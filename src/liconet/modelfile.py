@@ -40,14 +40,14 @@ VERSION = 1
 
 _DTYPES = {"f32": np.dtype("<f4"), "i8": np.dtype("i1"), "i32": np.dtype("<i4")}
 
-# A pipeline's file kind and tensor dtypes follow its operator type, as do
-# the quantization parameters stored with each stage.
-_OPERATORS = {
+# Each model kind, keyed by its net type or, for a pipeline, its operator
+# type, with its tensor dtypes and the quantization parameters of each stage.
+_KINDS = {
+    LiCoNet: ("lico", "f32", "f32", ()),
+    MlpNet: ("mlp", "f32", "f32", ()),
     LinearLayer: ("linearized", "f32", "f32", ()),
     QuantizedLinearLayer: ("quantized", "i8", "i32", ("weight_params", "in_params", "out_params")),
 }
-_PIPELINE_KINDS = {kind: op for op, (kind, *_) in _OPERATORS.items()}
-_FLOAT_KINDS = {LiCoNet: "lico", MlpNet: "mlp"}
 # The configuration a manifest stores; the normalization vectors are tensors.
 _FRONTEND_FIELDS = ("sample_rate", "window_ms", "hop_ms", "n_mels", "fmin", "fmax", "log_floor")
 _DECODER_FIELDS = ("window_steps", "smooth_steps", "keyword_ids", "threshold")
@@ -81,8 +81,7 @@ class Model:
 
     @property
     def kind(self) -> str:
-        kind = _FLOAT_KINDS.get(type(self.net))
-        return kind or _OPERATORS[type(self.stages[-1].op)][0]
+        return (_KINDS.get(type(self.net)) or _KINDS[type(self.stages[-1].op)])[0]
 
     @property
     def receptive_field(self) -> int:
@@ -112,7 +111,7 @@ def _qparams_out(p: QuantParams):
 
 def _collect(model: Model):
     net = model.net
-    dtypes = ("f32", "f32")
+    _, *dtypes, qfields = next(entry for entry in _KINDS.values() if entry[0] == model.kind)
     if isinstance(net, LiCoNet):
         arch = {
             "input_features": model.stages[0].channels,  # the net's own field may be 3.0
@@ -126,8 +125,7 @@ def _collect(model: Model):
             "hidden": [l.out_dim for l in net.hidden],
             "n_classes": net.n_classes,
         }
-    elif isinstance(net, Pipeline):
-        _, *dtypes, qfields = _OPERATORS[type(net.stages[-1].op)]
+    else:  # a pipeline: Model's stage_plan refuses any other net
 
         def qparams(op):
             return {f: _qparams_out(getattr(op, f)) for f in qfields}
@@ -147,8 +145,6 @@ def _collect(model: Model):
         if qfields:
             arch["input_params"] = _qparams_out(net.stages[0].op.in_params)
             arch["classifier"] = {"activation": cls.op.activation, **qparams(cls.op)}
-    else:
-        raise ConfigError(f"cannot serialize {type(net).__name__}")
     # Each tensor is named after its stage; a LiCo block conv is stored (D, C, K).
     tensors = []
     for st in model.stages:
@@ -236,30 +232,30 @@ def _rebuild_net(manifest, tensors):
         )
         classifier = LinearLayer(tensors["classifier.weight"], tensors["classifier.bias"], "none")
         return MlpNet(arch["input_frames"], arch["input_features"], hidden, classifier)
-    if kind in _PIPELINE_KINDS:
-        op_type = _PIPELINE_KINDS[kind]
-        qfields = _OPERATORS[op_type][3]
+    op_type = {entry[0]: key for key, entry in _KINDS.items()}.get(kind)  # lico and mlp returned
+    if op_type is None:
+        raise ManifestError(f"unknown model kind {kind!r}")
+    qfields = _KINDS[op_type][3]
 
-        def operator(name, spec):
-            return op_type(
-                weights=tensors[f"{name}.weight"],
-                bias=tensors[f"{name}.bias"],
-                activation=spec["activation"],
-                **{f: QuantParams(**spec[f]) for f in qfields},
-            )
+    def operator(name, spec):
+        return op_type(
+            weights=tensors[f"{name}.weight"],
+            bias=tensors[f"{name}.bias"],
+            activation=spec["activation"],
+            **{f: QuantParams(**spec[f]) for f in qfields},
+        )
 
-        stages = [
-            PipelineStage(spec["name"], operator(spec["name"], spec), spec["channels"],
-                          spec["kernel"], spec["stride"], spec["residual_from"])
-            for spec in arch["stages"]
-        ]
-        cls = operator("classifier", arch["classifier"] if qfields else {"activation": "none"})
-        net = Pipeline(stages + [PipelineStage("classifier", cls, cls.in_dim, 1, 1)])
-        for prev, st in zip(net.stages, net.stages[1:]):
-            if qfields and st.op.in_params != prev.op.out_params:
-                raise ManifestError(f"{st.name}: in_params differ from {prev.name}'s out_params")
-        return net
-    raise ManifestError(f"unknown model kind {kind!r}")
+    stages = [
+        PipelineStage(spec["name"], operator(spec["name"], spec), spec["channels"],
+                      spec["kernel"], spec["stride"], spec["residual_from"])
+        for spec in arch["stages"]
+    ]
+    cls = operator("classifier", arch["classifier"] if qfields else {"activation": "none"})
+    net = Pipeline(stages + [PipelineStage("classifier", cls, cls.in_dim, 1, 1)])
+    for prev, st in zip(net.stages, net.stages[1:]):
+        if qfields and st.op.in_params != prev.op.out_params:
+            raise ManifestError(f"{st.name}: in_params differ from {prev.name}'s out_params")
+    return net
 
 
 def _same_types(a, b) -> bool:

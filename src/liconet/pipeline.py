@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import ConfigError, ShapeError, is_whole
+from .errors import ConfigError, NotLinearizableError, ShapeError, is_whole
 
 ACTIVATIONS = ("none", "relu")
 # The most steps a caller hands one run, which bounds its temporaries: a
@@ -240,13 +240,46 @@ def check_geometry(stages) -> None:
             raise ShapeError(f"{st.name}: stages after its residual source must be pointwise")
 
 
+@dataclass(frozen=True)
+class LinearizabilityReport:
+    """Outcome of the conversion gate; violations are (layer id, reason)."""
+
+    violations: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "violations", tuple(self.violations))
+
+    @property
+    def compliant(self) -> bool:
+        return not self.violations
+
+
+def check_stages(stages, t: int) -> LinearizabilityReport:
+    """The gate on a stage plan: first stride t, every later stride 1."""
+    first, *later = stages
+    violations = [] if first.stride == t else [
+        (first.name, f"first layer stride {first.stride} != chunk size {t}")
+    ]
+    violations += [(st.name, f"stride {st.stride} != 1") for st in later if st.stride != 1]
+    return LinearizabilityReport(violations)
+
+
+def linear_plan(stages, t: int) -> list:
+    """The stages if they pass the gate, and so step as one dense product per
+    stage for each chunk of t frames; otherwise raises NotLinearizableError."""
+    report = check_stages(stages, t)
+    if not report.compliant:
+        raise NotLinearizableError(report)
+    return stages
+
+
 class Pipeline:
     """A plan of stages and the state of one stream through it."""
 
     def __init__(self, stages):
         self.stages = list(stages)
         check_geometry(self.stages)
-        if any(st.stride != 1 for st in self.stages[1:]):
+        if not check_stages(self.stages, self.chunk_size).compliant:
             raise ShapeError("every stride after the first stage's must be 1")
         self.reset()
 

@@ -2,21 +2,22 @@
 stride-many frames, softmax, smoothing, sliding-window score, events.
 
 Every engine is a new stream over the model's stage plan (see
-pipeline.py): the engines of one model share its stages, each holding
-only its own stream state. `conv` runs a float model, `linear` a float or
-linearized one and `int8` a quantized one. A float model must pass the
-linearization gate; the plan's geometry was checked when the model was
-built or loaded, so an engine does not check it again. A stream primes on
-the first receptive_field - stride feature frames (never negative, and on
-the stride grid, so the first emitted posterior has a fully real context
-and step k equals batch column k), then hands the engine every complete
-stride of frames it holds, at most MAX_PASS_STEPS per call, and runs
-softmax and the decoder once over that call's block of logits. Every
-engine runs such a call in one pass whose steps have the same bits as one
-step at a time (see Pipeline.step_array), and so does the decoder (see
-decoder.py), so results do not depend on how the PCM is split.
-A stream of F frames therefore yields floor((F - RF) / s1) + 1
-posteriors.
+pipeline.py): the engines of one model share its stages, each holding only
+its own stream state. `conv` runs a float model, `linear` a float or
+linearized one and `int8` a quantized one; on a float model `conv` and
+`linear` run the same stages with the same arithmetic. A float model must
+pass the linearization gate (pipeline.linear_plan); the plan's geometry
+was checked when the model was built or loaded, so an engine does not
+check it again. A stream primes on the first receptive_field - stride
+feature frames (never negative, and on the stride grid, so the first
+emitted posterior has a fully real context and step k equals batch column
+k), then hands the engine every complete stride of frames it holds, at
+most MAX_PASS_STEPS per call, and runs softmax and the decoder once over
+that call's block of logits. Every engine runs such a call in one pass
+whose steps have the same bits as one step at a time (see
+Pipeline.step_array), and so does the decoder (see decoder.py), so results
+do not depend on how the PCM is split. A stream of F frames therefore
+yields floor((F - RF) / s1) + 1 posteriors.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .decoder import DetectionEvent, KeywordDecoder, PosteriorFrame, posterior_from_logits
-from .errors import ConfigError, InvalidInputError, NotLinearizableError
+from .errors import ConfigError, InvalidInputError
 from .frontend import FeatureStream
-from .linearize import check_stages
 from .modelfile import Model
-from .pipeline import MAX_PASS_STEPS, Pipeline
+from .pipeline import MAX_PASS_STEPS, Pipeline, linear_plan
 
 # The model kinds each engine runs, and how to name them in an error.
 _ENGINE_KINDS = {
@@ -87,10 +87,7 @@ def make_engine(model: Model, engine: str) -> Pipeline:
     kinds, needs = _ENGINE_KINDS[engine]
     if model.kind not in kinds:
         raise ConfigError(f"{engine} engine needs {needs}, file holds {model.kind!r}")
-    report = check_stages(model.stages, model.first_stride)
-    if not report.compliant:
-        raise NotLinearizableError(report)
-    return Pipeline.of_plan(model.stages)
+    return Pipeline.of_plan(linear_plan(model.stages, model.first_stride))
 
 
 @dataclass(frozen=True)

@@ -267,3 +267,43 @@ def test_linearize_quantize_and_verify_name_the_kind_they_refuse(tmp_path, capsy
             assert stdout == "" and not out.exists()
             assert err.startswith("error: ") and err.endswith(f"file holds {kind!r}\n")
             assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("engine", ["conv", "linear", "int8"])
+def test_run_prints_the_posteriors_and_events_of_run_stream(tmp_path, capsys, engine):
+    """`run --posteriors` writes one line per step, the step and its
+    probabilities to 6 decimals, and prints run_stream's events."""
+    from liconet.modelfile import load_model
+    from liconet.runtime import read_wav, run_stream, write_wav
+
+    model, wav = str(tmp_path / "model.lcn"), str(tmp_path / "noise.wav")
+    write_wav(wav, np.random.default_rng(4).uniform(-0.5, 0.5, 24000))
+    assert cli_main(["init", "--arch", "lico", "--preset", "small", "--stride", "3",
+                     "--seed", "1", "--out", model]) == 0
+    if engine == "int8":
+        quantized = str(tmp_path / "int8.lcn")
+        capsys.readouterr()
+        assert cli_main(["quantize", model, "--calib", wav, "--out", quantized]) == 0
+        assert capsys.readouterr().out == (
+            f"wrote int8 pipeline calibrated on 148 frames to {quantized}\n"
+        )
+        model = quantized
+    pcm = read_wav(wav)
+    scores = [res.score for res in run_stream(load_model(model), [pcm], engine=engine)]
+    threshold = float(np.median(scores))
+    results = list(run_stream(load_model(model), [pcm], engine=engine, threshold=threshold))
+    events = [f"t={r.time_s:.3f} score={r.event.score:.4f}" for r in results if r.event]
+    assert events
+
+    dump = tmp_path / "posteriors.txt"
+    capsys.readouterr()
+    assert cli_main(["run", model, "--wav", wav, "--engine", engine,
+                     "--threshold", repr(threshold), "--posteriors", str(dump)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.splitlines() == events
+    lines = dump.read_text().splitlines()
+    assert len(lines) == len(results) > 0
+    for line, res in zip(lines, results):
+        step, *probs = line.split(" ")
+        assert int(step) == res.step and len(probs) == len(res.posterior.probs)
+        assert probs == [f"{p:.6f}" for p in res.posterior.probs]

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from liconet.conv import Conv1DLayer
+from liconet.decoder import DecoderConfig
 from liconet.errors import ConfigError, InvalidInputError, ShapeError
+from liconet.frontend import FrontendConfig
 from liconet.linearize import check_linearizable
-from liconet.model import LiCoNet, MlpNet, build_lico_block, build_lico_net, build_mlp
+from liconet.model import LiCoBlock, LiCoNet, MlpNet, build_lico_block, build_lico_net, build_mlp
 from liconet.pipeline import LinearLayer, Pipeline, PipelineStage
 from liconet.tensor import QuantParams
 
@@ -127,3 +129,92 @@ def test_the_linearization_gate_refuses_a_bool_chunk_size():
     net = build_lico_net(3, 1, 4, 2, 3, 1, 2, seed=0)
     assert check_linearizable(net, 1).compliant
     assert not check_linearizable(net, True).compliant
+
+
+def _block_net(residual=True, **layers):
+    """A one-block net, 4 -> (K = 3) 4 -> 8 -> 4 with its residual, whose
+    named layers take the given (out, in, kernel, stride, activation)."""
+    spec = dict(conv1=(4, 4, 3, 1, "relu"), conv2=(8, 4, 1, 1, "relu"), conv3=(4, 8, 1, 1, "none"))
+    convs = [Conv1DLayer(np.ones((o, i, k)), np.zeros(o), s, a)
+             for o, i, k, s, a in (spec | layers).values()]
+    classifier = Conv1DLayer(np.ones((2, convs[2].out_channels, 1)), np.zeros(2), 1, "none")
+    return LiCoNet(convs[0].in_channels, (LiCoBlock(*convs, residual),), classifier)
+
+
+# Some of these the block refuses itself; the layer chain and the residual
+# wiring are checked on the plan of the net that holds the block.
+BLOCK_CASES = {
+    "conv1-pointwise": dict(conv1=(4, 4, 1, 1, "relu")),
+    "conv2-kernel": dict(conv2=(8, 4, 2, 1, "relu")),
+    "conv3-kernel": dict(conv3=(4, 8, 2, 1, "none")),
+    "conv2-stride": dict(conv2=(8, 4, 1, 2, "relu")),
+    "conv3-stride": dict(conv3=(4, 8, 1, 2, "none")),
+    "conv3-not-back-to-width": dict(conv3=(5, 8, 1, 1, "none"), residual=False),
+    "expansion-not-whole": dict(conv2=(6, 4, 1, 1, "relu"), conv3=(4, 6, 1, 1, "none")),
+    "expansion-1": dict(conv2=(4, 4, 1, 1, "relu"), conv3=(4, 4, 1, 1, "none")),
+    "conv1-activation": dict(conv1=(4, 4, 3, 1, "none")),
+    "conv2-activation": dict(conv2=(8, 4, 1, 1, "none")),
+    "conv3-activation": dict(conv3=(4, 8, 1, 1, "relu")),
+    "chain-conv2-input": dict(conv2=(8, 5, 1, 1, "relu")),
+    "chain-conv3-input": dict(conv3=(4, 6, 1, 1, "none")),
+    "residual-strided": dict(conv1=(4, 4, 3, 2, "relu")),
+    "residual-widths": dict(conv1=(4, 5, 3, 1, "relu")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_a_net_refuses_a_malformed_block(case):
+    _block_net()
+    _block_net(residual=False, conv1=(4, 4, 3, 2, "relu"))
+    with pytest.raises(ConfigError):
+        _block_net(**BLOCK_CASES[case])
+
+
+@pytest.mark.parametrize("case, message", [
+    ("chain-conv2-input", "block1.conv2 takes 5 channels, its input has 4"),
+    ("chain-conv3-input", "block1.conv3 takes 6 channels, its input has 8"),
+    ("residual-strided", "block1.conv3: residual source block1.conv1 must have stride 1 and 4"),
+    ("residual-widths", "block1.conv3: residual source block1.conv1 must have stride 1 and 4"),
+])
+def test_a_broken_block_chain_names_its_stage(case, message):
+    with pytest.raises(ConfigError, match=message):
+        _block_net(**BLOCK_CASES[case])
+
+
+@pytest.mark.parametrize("change", [dict(blocks=()), dict(kernel=2), dict(stride=2),
+                                    dict(activation="relu")])
+def test_lico_net_refuses_no_blocks_and_a_classifier_that_is_not_pointwise(change):
+    blocks = (build_lico_block(4, 8, 2, 3, 2, 0),)
+    parts = dict(kernel=1, stride=1, activation="none") | change
+    weights = np.ones((2, 8, parts["kernel"]))
+    classifier = Conv1DLayer(weights, np.zeros(2), parts["stride"], parts["activation"])
+    with pytest.raises(ConfigError):
+        LiCoNet(4, parts.get("blocks", blocks), classifier)
+
+
+@pytest.mark.parametrize("keyword_ids", [(), (2, 2), (-1,), (3, -1)])
+def test_decoder_config_refuses_no_repeated_or_negative_keyword_ids(keyword_ids):
+    DecoderConfig(4, 1, (2, 3), 0.5)
+    with pytest.raises(ConfigError):
+        DecoderConfig(4, 1, keyword_ids, 0.5)
+
+
+FRONTEND_CASES = {
+    "sample-rate": dict(sample_rate=0),
+    "window": dict(window_ms=0.0),
+    "hop": dict(hop_ms=-10.0),
+    "hop-past-window": dict(hop_ms=30.0),
+    "no-mel-bands": dict(n_mels=0),
+    "negative-fmin": dict(fmin=-1.0),
+    "fmin-above-fmax": dict(fmin=4000.0, fmax=3000.0),
+    "norm-mean-length": dict(norm_mean=np.zeros(39)),
+    "norm-std-length": dict(norm_std=np.ones(41)),
+    "norm-std-zero": dict(norm_std=np.r_[np.ones(39), 0.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRONTEND_CASES))
+def test_frontend_config_rejects(case):
+    FrontendConfig()
+    with pytest.raises(ConfigError):
+        FrontendConfig(**FRONTEND_CASES[case])

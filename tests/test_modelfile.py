@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from liconet.cli import main as cli_main
 from liconet.decoder import DecoderConfig
-from liconet.errors import ConfigError, ManifestError, ModelFileError
+from liconet.errors import BadMagicError, ConfigError, ManifestError, ModelFileError
+from liconet.errors import TruncatedError, VersionError
 from liconet.frontend import FrontendConfig
 from liconet.linearize import linearize_network
 from liconet.model import build_lico_net, build_mlp
@@ -176,6 +177,38 @@ def test_malformed_manifest_fails_in_load_and_cli(tmp_path, capsys, case):
     path = _save(tmp_path, kind)
     _rewrite(path, mutate)
     with pytest.raises(ManifestError):
+        load_model(path)
+    assert cli_main(["info", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _manifest_byte(value):
+    """Put value in place of the manifest's opening brace, at byte 10."""
+    return lambda raw: raw[:10] + value + raw[11:]
+
+
+# Damage to the header, the manifest's bytes or the blob section.
+DAMAGED = {
+    "empty": (lambda raw: b"", TruncatedError),
+    "nine-bytes": (lambda raw: raw[:9], TruncatedError),
+    "magic": (lambda raw: b"LCN2" + raw[4:], BadMagicError),
+    "version-2": (lambda raw: raw[:4] + struct.pack("<H", 2) + raw[6:], VersionError),
+    "manifest-past-end": (
+        lambda raw: raw[:6] + struct.pack("<I", len(raw)) + raw[10:], TruncatedError
+    ),
+    "manifest-byte-ff": (_manifest_byte(b"\xff"), ManifestError),
+    "manifest-not-json": (_manifest_byte(b"["), ManifestError),
+    "last-tensor-short": (lambda raw: raw[:-1], TruncatedError),
+    "trailing-byte": (lambda raw: raw + b"\0", ManifestError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DAMAGED))
+def test_a_damaged_header_or_blob_fails_in_load_and_cli(tmp_path, capsys, case):
+    damage, error = DAMAGED[case]
+    path = _save(tmp_path, "lico")
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(error):
         load_model(path)
     assert cli_main(["info", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
