@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_whole
 from .pipeline import windows
 
 # Frames transformed in one pass; bounds the memory of a long push.
@@ -39,14 +39,21 @@ class FrontendConfig:
     norm_std: np.ndarray | None = None
 
     def __post_init__(self):
+        if not (is_whole(self.sample_rate) and is_whole(self.n_mels)):
+            raise ConfigError(f"rate {self.sample_rate!r} and bands {self.n_mels!r} must be whole")
+        if self.fmax is None:
+            object.__setattr__(self, "fmax", self.sample_rate / 2.0)
+        reals = (self.window_ms, self.hop_ms, self.fmin, self.fmax, self.log_floor)
+        if not all(is_whole(v) or isinstance(v, (float, np.floating)) for v in reals):
+            raise ConfigError(f"window, hop, mel range and log floor must be numbers, got {reals}")
+        if not 0 < self.log_floor < np.inf:  # NaN fails too
+            raise ConfigError(f"log floor must be finite and positive, got {self.log_floor}")
         if self.sample_rate < 1 or self.window_ms <= 0 or self.hop_ms <= 0:
             raise ConfigError("sample rate, window, and hop must be positive")
         if self.hop_ms > self.window_ms:
             raise ConfigError("hop must not exceed the window")
         if self.n_mels < 1:
             raise ConfigError("need at least one mel band")
-        if self.fmax is None:
-            object.__setattr__(self, "fmax", self.sample_rate / 2.0)
         if not 0 <= self.fmin < self.fmax:
             raise ConfigError(f"bad mel range [{self.fmin}, {self.fmax}]")
         mean, std = (

@@ -9,11 +9,11 @@ Layout, all integers little-endian:
     blobs        raw tensors, concatenated in manifest order
 
 The manifest declares every tensor's name, dtype (f32, i8, or i32),
-shape, and byte length; loading validates the whole file before any net
-is constructed, then rebuilds the model from its tensors and rejects a
-manifest whose arch or tensor entries differ from the ones saving that
-model writes. Saving is deterministic: the same model always produces
-byte-identical files.
+shape, and byte length. Loading validates the whole file before any net
+is constructed, then rebuilds the model from its tensors. One rule then
+decides: the manifest must be exactly the one that saving the rebuilt
+model writes, key for key, values and JSON types alike. Saving is
+deterministic: the same model always produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import numpy as np
 
 from .conv import Conv1DLayer
 from .decoder import DecoderConfig
-from .errors import BadMagicError, ConfigError, ManifestError, TruncatedError, VersionError
-from .errors import is_whole
+from .errors import BadMagicError, ConfigError, ManifestError, NotLinearizableError
+from .errors import TruncatedError, VersionError, is_whole
 from .frontend import FrontendConfig
 from .model import LiCoBlock, LiCoNet, MlpNet, receptive_field_of, stage_plan
 from .pipeline import LinearLayer, Pipeline, PipelineStage
@@ -40,13 +40,13 @@ VERSION = 1
 
 _DTYPES = {"f32": np.dtype("<f4"), "i8": np.dtype("i1"), "i32": np.dtype("<i4")}
 
-# Each model kind, keyed by its net type or, for a pipeline, its operator
-# type, with its tensor dtypes and the quantization parameters of each stage.
+# Each model kind by name: its net type or, for a pipeline, its operator
+# type, its tensor dtypes and the quantization parameters of each stage.
 _KINDS = {
-    LiCoNet: ("lico", "f32", "f32", ()),
-    MlpNet: ("mlp", "f32", "f32", ()),
-    LinearLayer: ("linearized", "f32", "f32", ()),
-    QuantizedLinearLayer: ("quantized", "i8", "i32", ("weight_params", "in_params", "out_params")),
+    "lico": (LiCoNet, "f32", "f32", ()),
+    "mlp": (MlpNet, "f32", "f32", ()),
+    "linearized": (LinearLayer, "f32", "f32", ()),
+    "quantized": (QuantizedLinearLayer, "i8", "i32", ("weight_params", "in_params", "out_params")),
 }
 # The configuration a manifest stores; the normalization vectors are tensors.
 _FRONTEND_FIELDS = ("sample_rate", "window_ms", "hop_ms", "n_mels", "fmin", "fmax", "log_floor")
@@ -81,7 +81,8 @@ class Model:
 
     @property
     def kind(self) -> str:
-        return (_KINDS.get(type(self.net)) or _KINDS[type(self.stages[-1].op)])[0]
+        net = self.stages[-1].op if isinstance(self.net, Pipeline) else self.net
+        return next(name for name, (cls, *_) in _KINDS.items() if type(net) is cls)
 
     @property
     def receptive_field(self) -> int:
@@ -105,51 +106,38 @@ def _entry(name, arr, dtype):
     return {"name": name, "dtype": dtype, "shape": list(arr.shape), "byte_len": byte_len}
 
 
-def _qparams_out(p: QuantParams):
-    return {"scale": p.scale, "zero_point": p.zero_point}
-
-
 def _collect(model: Model):
-    net = model.net
-    _, *dtypes, qfields = next(entry for entry in _KINDS.values() if entry[0] == model.kind)
-    if isinstance(net, LiCoNet):
-        arch = {
-            "input_features": model.stages[0].channels,  # the net's own field may be 3.0
-            "n_classes": net.n_classes,
-            "blocks": [{f: getattr(b, f) for f in _BLOCK_FIELDS} for b in net.blocks],
-        }
-    elif isinstance(net, MlpNet):
-        arch = {
-            "input_frames": net.input_frames,
-            "input_features": net.input_features,
-            "hidden": [l.out_dim for l in net.hidden],
-            "n_classes": net.n_classes,
-        }
+    """The manifest that saving model writes, and its tensors as (name, array, dtype)."""
+    net, stages, kind = model.net, model.stages, model.kind
+    _, *dtypes, qfields = _KINDS[kind]
+    # Read off the plan: a net's own input_features field may be 3.0.
+    arch = {"input_features": stages[0].channels, "n_classes": stages[-1].op.out_dim}
+    if kind == "lico":
+        arch["blocks"] = [{f: getattr(b, f) for f in _BLOCK_FIELDS} for b in net.blocks]
+    elif kind == "mlp":
+        arch["input_frames"] = net.input_frames
+        arch["hidden"] = [l.out_dim for l in net.hidden]
     else:  # a pipeline: Model's stage_plan refuses any other net
 
         def qparams(op):
-            return {f: _qparams_out(getattr(op, f)) for f in qfields}
+            return {f: vars(getattr(op, f)) for f in qfields}  # scale and zero_point
 
-        *body, cls = net.stages
-        sources = {s.residual_from for s in net.stages}
-        arch = {
-            "input_features": net.input_features,
-            "n_classes": net.n_classes,
-            "chunk_size": net.chunk_size,
-            "stages": [
-                {**{f: getattr(s, f) for f in _STAGE_FIELDS}, "captures_input": i in sources,
-                 "activation": s.op.activation, **qparams(s.op)}
-                for i, s in enumerate(body)
-            ],
-        }
+        *body, cls = stages
+        sources = {s.residual_from for s in stages}
+        arch["chunk_size"] = model.first_stride
+        arch["stages"] = [
+            {**{f: getattr(s, f) for f in _STAGE_FIELDS}, "captures_input": i in sources,
+             "activation": s.op.activation, **qparams(s.op)}
+            for i, s in enumerate(body)
+        ]
         if qfields:
-            arch["input_params"] = _qparams_out(net.stages[0].op.in_params)
+            arch["input_params"] = vars(stages[0].op.in_params)
             arch["classifier"] = {"activation": cls.op.activation, **qparams(cls.op)}
     # Each tensor is named after its stage; a LiCo block conv is stored (D, C, K).
     tensors = []
-    for st in model.stages:
+    for st in stages:
         w = st.op.weights
-        if isinstance(net, LiCoNet) and st is not model.stages[-1]:
+        if kind == "lico" and st is not stages[-1]:
             w = w.reshape(st.channels, st.kernel, -1).transpose(2, 0, 1)
         tensors.append((f"{st.name}.weight", w, dtypes[0]))
         tensors.append((f"{st.name}.bias", st.op.bias, dtypes[1]))
@@ -157,12 +145,14 @@ def _collect(model: Model):
     tensors.append(("frontend.norm_mean", fe.norm_mean, "f32"))
     tensors.append(("frontend.norm_std", fe.norm_std, "f32"))
     manifest = {
-        "kind": model.kind,
+        "kind": kind,
         "first_stride": model.first_stride,
         "arch": arch,
         "frontend": {f: getattr(fe, f) for f in _FRONTEND_FIELDS},
         "decoder": {f: getattr(model.decoder, f) for f in _DECODER_FIELDS},
+        "tensors": [_entry(*t) for t in tensors],
     }
+    manifest["decoder"]["keyword_ids"] = list(model.decoder.keyword_ids)  # a tuple in the config
     return manifest, tensors
 
 
@@ -171,7 +161,6 @@ def save_model(model, path) -> None:
     if not isinstance(model, Model):
         model = default_model(model)
     manifest, named = _collect(model)
-    manifest["tensors"] = [_entry(*t) for t in named]
     blob = b"".join(np.ascontiguousarray(a, dtype=_DTYPES[d]).tobytes() for _, a, d in named)
     payload = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as f:
@@ -211,6 +200,9 @@ def _read_tensors(manifest, blob):
 def _rebuild_net(manifest, tensors):
     kind = manifest["kind"]
     arch = manifest["arch"]
+    if kind not in _KINDS:
+        raise ManifestError(f"unknown model kind {kind!r}")
+    op_type, _, _, qfields = _KINDS[kind]
     if kind == "lico":
         blocks = []
         for i, spec in enumerate(arch["blocks"], start=1):
@@ -232,10 +224,6 @@ def _rebuild_net(manifest, tensors):
         )
         classifier = LinearLayer(tensors["classifier.weight"], tensors["classifier.bias"], "none")
         return MlpNet(arch["input_frames"], arch["input_features"], hidden, classifier)
-    op_type = {entry[0]: key for key, entry in _KINDS.items()}.get(kind)  # lico and mlp returned
-    if op_type is None:
-        raise ManifestError(f"unknown model kind {kind!r}")
-    qfields = _KINDS[op_type][3]
 
     def operator(name, spec):
         return op_type(
@@ -246,8 +234,7 @@ def _rebuild_net(manifest, tensors):
         )
 
     stages = [
-        PipelineStage(spec["name"], operator(spec["name"], spec), spec["channels"],
-                      spec["kernel"], spec["stride"], spec["residual_from"])
+        PipelineStage(op=operator(spec["name"], spec), **{f: spec[f] for f in _STAGE_FIELDS})
         for spec in arch["stages"]
     ]
     cls = operator("classifier", arch["classifier"] if qfields else {"activation": "none"})
@@ -299,19 +286,18 @@ def load_model(path) -> Model:
         )
         decoder = DecoderConfig(**{f: manifest["decoder"][f] for f in _DECODER_FIELDS})
         model = Model(net, frontend, decoder, manifest["first_stride"])
-        # Saving the rebuilt model must write back the same arch and tensor
-        # entries: the manifest may state nothing that the model does not do.
-        # The arch passed through constructors that take 3.0 for 3, so its
-        # types are compared too; tensor entries hold only strings and the
-        # integers _read_tensors checked.
-        written, named = _collect(model)
-        arch, want = manifest["arch"], written["arch"]
-        if arch != want or not _same_types(arch, want):
-            raise ManifestError("arch entries differ from those the rebuilt model saves")
-        if manifest["tensors"] != [_entry(*t) for t in named]:
-            raise ManifestError("tensors entries differ from those the rebuilt model saves")
+        # Saving the rebuilt model must write back this very manifest: the
+        # file may state nothing that the model does not do. Its values
+        # passed through constructors that take 3.0 for 3, so types are
+        # compared too, except in tensor entries: those hold only strings
+        # and the integers _read_tensors checked.
+        written, _ = _collect(model)
+        for key in sorted(manifest.keys() | written.keys()):
+            mine, want = manifest.get(key, ()), written.get(key, ())  # () is no JSON value
+            if mine != want or key != "tensors" and not _same_types([mine], [want]):
+                raise ManifestError(f"{key} entries differ from those the rebuilt model saves")
         return model
     except KeyError as exc:
         raise ManifestError(f"manifest missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, NotLinearizableError) as exc:
         raise ManifestError(f"manifest does not describe a valid model: {exc}") from exc

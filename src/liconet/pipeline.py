@@ -279,8 +279,7 @@ class Pipeline:
     def __init__(self, stages):
         self.stages = list(stages)
         check_geometry(self.stages)
-        if not check_stages(self.stages, self.chunk_size).compliant:
-            raise ShapeError("every stride after the first stage's must be 1")
+        linear_plan(self.stages, self.chunk_size)  # every later stride 1, or the stage is named
         self.reset()
 
     @classmethod

@@ -49,8 +49,6 @@ def read_wav(path, expected_rate: int = 16000) -> np.ndarray:
     except (wave.Error, EOFError) as exc:  # not RIFF, or a truncated header
         raise InvalidInputError(f"{path} is not a WAV file: {exc or 'header ends early'}") from exc
     with w:
-        if w.getcomptype() != "NONE":
-            raise InvalidInputError(f"{path}: compressed WAV ({w.getcomptype()}) not supported")
         if w.getsampwidth() != 2:
             raise InvalidInputError(f"{path}: need 16-bit PCM, got {8 * w.getsampwidth()}-bit")
         if w.getnchannels() != 1:

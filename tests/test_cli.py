@@ -307,3 +307,26 @@ def test_run_prints_the_posteriors_and_events_of_run_stream(tmp_path, capsys, en
         step, *probs = line.split(" ")
         assert int(step) == res.step and len(probs) == len(res.posterior.probs)
         assert probs == [f"{p:.6f}" for p in res.posterior.probs]
+
+
+def test_a_wav_that_is_not_pcm_is_refused_at_open(tmp_path, capsys):
+    """Format tag 3 (IEEE float): the standard library's reader refuses any
+    format tag but PCM when it opens the file."""
+    import struct
+
+    from liconet.errors import InvalidInputError
+    from liconet.runtime import read_wav
+
+    data = bytes(4 * 160)
+    fmt = struct.pack("<HHIIHH", 3, 1, 16000, 4 * 16000, 4, 32)
+    body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt + b"data"
+    body += struct.pack("<I", len(data)) + data
+    wav = tmp_path / "float.wav"
+    wav.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    with pytest.raises(InvalidInputError, match="is not a WAV file: unknown format: 3"):
+        read_wav(wav)
+    model = str(tmp_path / "model.lcn")
+    assert cli_main(["init", "--arch", "mlp", "--preset", "small", "--out", model]) == 0
+    capsys.readouterr()
+    assert cli_main(["run", model, "--wav", str(wav)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -218,3 +218,28 @@ def test_frontend_config_rejects(case):
     FrontendConfig()
     with pytest.raises(ConfigError):
         FrontendConfig(**FRONTEND_CASES[case])
+
+
+# Numbers a model file may carry in its frontend entries: counts must be
+# whole, lengths and frequencies real and not bools, the log floor finite
+# and positive.
+FRONTEND_NUMBER_CASES = {
+    "sample-rate-fraction": dict(sample_rate=16000.5),
+    "sample-rate-bool": dict(sample_rate=True),
+    "mel-bands-float": dict(n_mels=40.0),
+    "hop-bool": dict(hop_ms=True),
+    "window-text": dict(window_ms="25"),
+    "fmax-text": dict(fmax="8000"),
+    "log-floor-none": dict(log_floor=None),
+    "log-floor-zero": dict(log_floor=0.0),
+    "log-floor-negative": dict(log_floor=-1.0),
+    "log-floor-inf": dict(log_floor=float("inf")),
+    "log-floor-nan": dict(log_floor=float("nan")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRONTEND_NUMBER_CASES))
+def test_frontend_config_rejects_a_number_of_the_wrong_kind(case):
+    FrontendConfig(sample_rate=8000, n_mels=23, hop_ms=10, fmax=np.float64(4000), log_floor=1)
+    with pytest.raises(ConfigError):
+        FrontendConfig(**FRONTEND_NUMBER_CASES[case])

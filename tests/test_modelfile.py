@@ -357,3 +357,56 @@ def test_a_model_whose_frontend_does_not_feed_its_net_is_refused():
     Model(net, FrontendConfig(n_mels=3), decoder, 1)
     with pytest.raises(ConfigError, match="mel bands"):
         Model(net, FrontendConfig(), decoder, 1)
+
+
+# Edits of the frontend, the decoder and the top level that saving never
+# writes: a loader that compared only the arch and tensor entries took each
+# one, and the first push then failed or ran on what the file stated.
+WHOLE_MANIFEST = {
+    "n-mels-float": ("lico", _set("frontend", "n_mels", value=float)),
+    "sample-rate-fraction": ("mlp", _set("frontend", "sample_rate", value=16000.5)),
+    "log-floor-negative": ("lico", _set("frontend", "log_floor", value=-1.0)),
+    "log-floor-null": ("linearized", _set("frontend", "log_floor", value=None)),
+    "log-floor-text": ("quantized", _set("frontend", "log_floor", value="x")),
+    "hop-bool": ("mlp", _set("frontend", "hop_ms", value=True)),
+    "frontend-extra-key": ("lico", _set("frontend", "dither", value=0.0)),
+    "decoder-extra-key": ("linearized", _set("decoder", "language", value="en")),
+    "top-level-extra-key": ("quantized", _set("comment", value="edited")),
+    "top-level-null-key": ("lico", _set("comment", value=None)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WHOLE_MANIFEST))
+def test_a_manifest_edit_outside_arch_and_tensors_fails_in_load_and_cli(tmp_path, capsys, case):
+    kind, mutate = WHOLE_MANIFEST[case]
+    path = _save(tmp_path, kind)
+    load_model(path)
+    _rewrite(path, mutate)
+    with pytest.raises(ManifestError):
+        load_model(path)
+    assert cli_main(["info", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "keys, section",
+    [(("frontend", "dither"), "frontend"), (("decoder", "language"), "decoder"),
+     (("comment",), "comment")],
+)
+def test_the_round_trip_names_the_section_that_differs(tmp_path, keys, section):
+    path = _save(tmp_path, "linearized")
+    _rewrite(path, _set(*keys, value=7))
+    with pytest.raises(ManifestError, match=f"^{section} entries differ from those"):
+        load_model(path)
+
+
+def test_a_strided_later_stage_is_named_when_the_file_loads(tmp_path, capsys):
+    """Stage 1 of a linearized lico-large net is block1.conv2, pointwise."""
+    net = build_lico_net(40, 5, 32, 6, 5, 3, 11, seed=1)
+    path = tmp_path / "lin.lcn"
+    save_model(default_model(linearize_network(net, 3)), path)
+    _rewrite(path, _set("arch", "stages", 1, "stride", value=2))
+    with pytest.raises(ManifestError, match="block1.conv2: stride 2 != 1"):
+        load_model(path)
+    assert cli_main(["info", str(path)]) == 1
+    assert "block1.conv2: stride 2 != 1" in capsys.readouterr().err
