@@ -54,7 +54,8 @@ class Conv1DLayer:
         d, c, k = w.shape
         dense = LinearLayer(w.transpose(1, 2, 0).reshape(c * k, d), self.bias, self.activation)
         w.setflags(write=False)
-        for name, value in (("weights", w), ("bias", dense.bias), ("dense", dense)):
+        for name, value in (("weights", w), ("bias", dense.bias), ("dense", dense),
+                            ("stride", int(self.stride))):  # JSON takes no numpy number
             object.__setattr__(self, name, value)
 
     @property

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError, is_whole
+from .errors import ConfigError, InvalidInputError, is_real, is_whole, plain
 
 
 def _least(a):
@@ -98,7 +98,10 @@ class DecoderConfig:
         whole = (self.window_steps, self.smooth_steps, *self.keyword_ids)
         if not all(map(is_whole, whole)):
             raise ConfigError(f"decoder lengths and class ids must be whole numbers, got {whole}")
+        # As Python ints: JSON takes no numpy number.
         object.__setattr__(self, "keyword_ids", tuple(int(i) for i in self.keyword_ids))
+        object.__setattr__(self, "window_steps", int(self.window_steps))
+        object.__setattr__(self, "smooth_steps", int(self.smooth_steps))
         if not self.window_steps >= self.smooth_steps >= 1:
             raise ConfigError(
                 f"need window >= smoothing >= 1, got {self.window_steps} / {self.smooth_steps}"
@@ -109,8 +112,9 @@ class DecoderConfig:
             raise ConfigError("keyword class ids must be distinct")
         if min(self.keyword_ids) < 0:
             raise ConfigError("keyword class ids must be non-negative")
-        if isinstance(self.threshold, (bool, np.bool_)) or not 0 <= self.threshold < math.inf:
+        if not (is_real(self.threshold) and 0 <= self.threshold < math.inf):
             raise ConfigError(f"threshold must be finite and non-negative, got {self.threshold}")
+        object.__setattr__(self, "threshold", plain(self.threshold))
 
     @classmethod
     def default(cls, n_classes: int, first_stride: int, threshold: float = 0.5) -> "DecoderConfig":

@@ -1,11 +1,24 @@
-"""Exception types shared across the package, and the one whole-number test."""
+"""Exception types shared across the package, and its number tests."""
 
 import numpy as np
 
 
 def is_whole(value) -> bool:
     """An int or numpy integer and not a bool: a bool is no count or size."""
+    if type(value) is int:  # the common case, first
+        return True
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A whole number or a float, numpy's included, and not a bool."""
+    return type(value) is float or is_whole(value) or isinstance(value, (float, np.floating))
+
+
+def plain(value):
+    """A numpy number as the Python number of the same value, which JSON
+    can write; any other value as it is."""
+    return value.item() if isinstance(value, np.generic) else value
 
 
 class ShapeError(ValueError):

@@ -19,11 +19,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, is_whole
+from .errors import ConfigError, is_real, is_whole, plain
 from .pipeline import windows
 
 # Frames transformed in one pass; bounds the memory of a long push.
 _BLOCK_FRAMES = 256
+# Every setting but the normalization vectors.
+NUMBER_FIELDS = ("sample_rate", "window_ms", "hop_ms", "n_mels", "fmin", "fmax", "log_floor")
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,8 +46,10 @@ class FrontendConfig:
         if self.fmax is None:
             object.__setattr__(self, "fmax", self.sample_rate / 2.0)
         reals = (self.window_ms, self.hop_ms, self.fmin, self.fmax, self.log_floor)
-        if not all(is_whole(v) or isinstance(v, (float, np.floating)) for v in reals):
+        if not all(map(is_real, reals)):
             raise ConfigError(f"window, hop, mel range and log floor must be numbers, got {reals}")
+        for name in NUMBER_FIELDS:  # JSON takes no numpy number
+            object.__setattr__(self, name, plain(getattr(self, name)))
         if not 0 < self.log_floor < np.inf:  # NaN fails too
             raise ConfigError(f"log floor must be finite and positive, got {self.log_floor}")
         if self.sample_rate < 1 or self.window_ms <= 0 or self.hop_ms <= 0:
@@ -56,6 +60,8 @@ class FrontendConfig:
             raise ConfigError("need at least one mel band")
         if not 0 <= self.fmin < self.fmax:
             raise ConfigError(f"bad mel range [{self.fmin}, {self.fmax}]")
+        if self.fmax > self.sample_rate / 2:  # a filter past Nyquist covers no FFT bin
+            raise ConfigError(f"fmax {self.fmax} is above half the sample rate {self.sample_rate}")
         mean, std = (
             np.full(self.n_mels, fill) if v is None else np.asarray(v, dtype=np.float64)
             for v, fill in ((self.norm_mean, 0.0), (self.norm_std, 1.0))

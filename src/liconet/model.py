@@ -12,7 +12,7 @@ exactly when the block has stride 1 and c_in == w.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,15 +83,17 @@ class LiCoBlock:
 class LiCoNet:
     """Stack of blocks plus a pointwise linear classifier.
 
-    The constructor checks channel chaining only; the chunk-equals-stride
-    and unit-stride conditions are verified by the linearization gate so
-    that non-compliant stacks can be constructed and then rejected with a
-    report naming the offending layers.
+    The constructor checks channel chaining only, on the stage plan that
+    it keeps as plan; the chunk-equals-stride and unit-stride conditions
+    are verified by the linearization gate so that non-compliant stacks
+    can be constructed and then rejected with a report naming the
+    offending layers.
     """
 
     input_features: int
     blocks: tuple
     classifier: Conv1DLayer
+    plan: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
@@ -105,7 +107,7 @@ class LiCoNet:
         cls = self.classifier
         if cls.kernel != 1 or cls.stride != 1 or cls.activation != "none":
             raise ConfigError("classifier must be a pointwise layer with no activation")
-        _check_chain(self)
+        object.__setattr__(self, "plan", _checked_plan(self))
 
     @property
     def first_stride(self) -> int:
@@ -118,30 +120,35 @@ class LiCoNet:
 
 @dataclass(frozen=True)
 class MlpNet:
-    """Baseline taking a fixed window of frames through dense layers."""
+    """Baseline taking a fixed window of frames through dense layers. Its
+    constructor checks, and keeps as plan, the stage plan at stride 1."""
 
     input_frames: int
     input_features: int
     hidden: tuple
     classifier: LinearLayer
+    plan: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(self.hidden))
         if not self.hidden:
             raise ConfigError("at least one hidden layer is required")
-        _check_chain(self)
+        object.__setattr__(self, "plan", _checked_plan(self))
 
     @property
     def n_classes(self) -> int:
         return self.classifier.out_dim
 
 
-def _check_chain(net) -> None:
-    """The plan's geometry check, as the error of a bad configuration."""
+def _checked_plan(net) -> list:
+    """The net's stage plan once its geometry is checked; a failed check
+    is the error of a bad configuration."""
     try:
-        check_geometry(stage_plan(net))
+        stages = stage_plan(net)
+        check_geometry(stages)
     except ShapeError as exc:
         raise ConfigError(str(exc)) from exc
+    return stages
 
 
 # ---------------------------------------------------------------------------

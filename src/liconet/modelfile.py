@@ -29,7 +29,7 @@ from .conv import Conv1DLayer
 from .decoder import DecoderConfig
 from .errors import BadMagicError, ConfigError, ManifestError, NotLinearizableError
 from .errors import TruncatedError, VersionError, is_whole
-from .frontend import FrontendConfig
+from .frontend import NUMBER_FIELDS, FrontendConfig
 from .model import LiCoBlock, LiCoNet, MlpNet, receptive_field_of, stage_plan
 from .pipeline import LinearLayer, Pipeline, PipelineStage
 from .quantize import QuantizedLinearLayer
@@ -49,7 +49,6 @@ _KINDS = {
     "quantized": (QuantizedLinearLayer, "i8", "i32", ("weight_params", "in_params", "out_params")),
 }
 # The configuration a manifest stores; the normalization vectors are tensors.
-_FRONTEND_FIELDS = ("sample_rate", "window_ms", "hop_ms", "n_mels", "fmin", "fmax", "log_floor")
 _DECODER_FIELDS = ("window_steps", "smooth_steps", "keyword_ids", "threshold")
 # The arch entries of a LiCo block and of a pipeline stage, read off the object.
 _BLOCK_FIELDS = ("in_channels", "width", "expansion", "kernel", "stride", "residual")
@@ -59,7 +58,8 @@ _STAGE_FIELDS = ("name", "channels", "kernel", "stride", "residual_from")
 @dataclass(frozen=True)
 class Model:
     """A network bundled with its frontend and decoder configuration, and
-    the network's stage plan at the stored stride, built once."""
+    the network's stage plan at the stored stride: the plan that a float
+    net checked when it has that stride, else built once."""
 
     net: object
     frontend: FrontendConfig
@@ -71,7 +71,11 @@ class Model:
         stride = self.first_stride
         if not is_whole(stride) or stride < 1:
             raise ConfigError(f"first stride must be an integer >= 1, got {stride!r}")
-        object.__setattr__(self, "stages", stage_plan(self.net, stride))
+        object.__setattr__(self, "first_stride", int(stride))  # JSON takes no numpy number
+        plan = getattr(self.net, "plan", None)
+        if plan is None or plan[0].stride != stride:
+            plan = stage_plan(self.net, stride)
+        object.__setattr__(self, "stages", plan)
         features = self.stages[0].channels
         if self.frontend.n_mels != features:
             raise ConfigError(f"{self.frontend.n_mels} mel bands, the net takes {features}")
@@ -110,12 +114,13 @@ def _collect(model: Model):
     """The manifest that saving model writes, and its tensors as (name, array, dtype)."""
     net, stages, kind = model.net, model.stages, model.kind
     _, *dtypes, qfields = _KINDS[kind]
-    # Read off the plan: a net's own input_features field may be 3.0.
+    # Read off the plan: a net's own input_features field may be 3.0, and
+    # its input_frames a numpy integer.
     arch = {"input_features": stages[0].channels, "n_classes": stages[-1].op.out_dim}
     if kind == "lico":
         arch["blocks"] = [{f: getattr(b, f) for f in _BLOCK_FIELDS} for b in net.blocks]
     elif kind == "mlp":
-        arch["input_frames"] = net.input_frames
+        arch["input_frames"] = stages[0].kernel
         arch["hidden"] = [l.out_dim for l in net.hidden]
     else:  # a pipeline: Model's stage_plan refuses any other net
 
@@ -148,7 +153,7 @@ def _collect(model: Model):
         "kind": kind,
         "first_stride": model.first_stride,
         "arch": arch,
-        "frontend": {f: getattr(fe, f) for f in _FRONTEND_FIELDS},
+        "frontend": {f: getattr(fe, f) for f in NUMBER_FIELDS},
         "decoder": {f: getattr(model.decoder, f) for f in _DECODER_FIELDS},
         "tensors": [_entry(*t) for t in tensors],
     }
@@ -280,7 +285,7 @@ def load_model(path) -> Model:
         net = _rebuild_net(manifest, tensors)
         fe = manifest["frontend"]
         frontend = FrontendConfig(
-            **{f: fe[f] for f in _FRONTEND_FIELDS},
+            **{f: fe[f] for f in NUMBER_FIELDS},
             norm_mean=tensors["frontend.norm_mean"],
             norm_std=tensors["frontend.norm_std"],
         )

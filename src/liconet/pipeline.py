@@ -115,7 +115,7 @@ class LinearLayer(DenseOperator):
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)  # in any order: a conv's is a view
         b = np.asarray(self.bias, dtype=np.float64)
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise ShapeError("weights and bias must be finite")
         self._store(w, b)
 

@@ -7,11 +7,12 @@ real ~= scale * (q - zero_point) with q stored as signed 8-bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, ShapeError, is_whole
+from .errors import InvalidInputError, ShapeError, is_real, is_whole, plain
 
 QMIN = -128
 QMAX = 127
@@ -42,7 +43,7 @@ class Tensor2D:
             arr = arr[np.newaxis, :]
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise ShapeError(f"expected channels x frames, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise InvalidInputError("tensor contains NaN or Inf")
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
@@ -72,14 +73,22 @@ class QuantParams:
     zero_point: int = 0
 
     def __post_init__(self):
-        if not is_whole(self.zero_point):
-            raise InvalidInputError(f"zero_point {self.zero_point!r} is not an integer")
-        if not (is_whole(self.scale) or isinstance(self.scale, (float, np.floating))):
-            raise InvalidInputError(f"scale {self.scale!r} is not a real number")
-        if not (np.isfinite(self.scale) and self.scale > 0):
-            raise InvalidInputError(f"scale must be positive, got {self.scale}")
-        if not QMIN <= self.zero_point <= QMAX:
-            raise InvalidInputError(f"zero_point {self.zero_point} outside [{QMIN}, {QMAX}]")
+        scale, zero_point = self.scale, self.zero_point
+        if not is_whole(zero_point):
+            raise InvalidInputError(f"zero_point {zero_point!r} is not an integer")
+        if not is_real(scale):
+            raise InvalidInputError(f"scale {scale!r} is not a real number")
+        try:
+            finite = math.isfinite(scale)
+        except OverflowError as exc:  # an integer past the float range
+            raise InvalidInputError(f"scale does not fit a float: {exc}") from exc
+        if not (finite and scale > 0):
+            raise InvalidInputError(f"scale must be positive, got {scale}")
+        if not QMIN <= zero_point <= QMAX:
+            raise InvalidInputError(f"zero_point {zero_point} outside [{QMIN}, {QMAX}]")
+        if type(zero_point) is not int or type(scale) is not float:  # JSON takes no numpy number
+            object.__setattr__(self, "scale", plain(scale))
+            object.__setattr__(self, "zero_point", int(zero_point))
 
 
 class QuantTensor:

@@ -243,3 +243,28 @@ def test_frontend_config_rejects_a_number_of_the_wrong_kind(case):
     FrontendConfig(sample_rate=8000, n_mels=23, hop_ms=10, fmax=np.float64(4000), log_floor=1)
     with pytest.raises(ConfigError):
         FrontendConfig(**FRONTEND_NUMBER_CASES[case])
+
+
+@pytest.mark.parametrize("threshold", ["x", "0.5", None, [0.5], np.True_])
+def test_decoder_config_refuses_a_threshold_that_is_not_a_real_number(threshold):
+    DecoderConfig(4, 1, (2,), np.float32(0.5))
+    with pytest.raises(ConfigError, match="threshold must be finite and non-negative"):
+        DecoderConfig(4, 1, (2,), threshold)
+
+
+@pytest.mark.parametrize("rate, fmax", [(16000, 12000.0), (16000, 8000.5), (8000, 4001)])
+def test_frontend_config_refuses_an_fmax_above_half_the_sample_rate(rate, fmax):
+    assert FrontendConfig(sample_rate=rate, fmax=rate / 2).fmax == rate / 2
+    with pytest.raises(ConfigError, match="above half the sample rate"):
+        FrontendConfig(sample_rate=rate, fmax=fmax)
+
+
+def test_numpy_numbers_are_kept_as_python_numbers():
+    cfg = DecoderConfig(np.int64(4), np.int32(2), (np.int8(1),), np.float32(0.25))
+    fe = FrontendConfig(sample_rate=np.int64(8000), n_mels=np.int16(23), fmax=np.float32(4000))
+    layer = _conv(stride=np.int64(2))
+    p = QuantParams(np.float32(0.5), np.int64(-3))
+    values = (cfg.window_steps, cfg.smooth_steps, *cfg.keyword_ids, cfg.threshold,
+              fe.sample_rate, fe.n_mels, fe.fmax, layer.stride, p.scale, p.zero_point)
+    assert values == (4, 2, 1, 0.25, 8000, 23, 4000.0, 2, 0.5, -3)
+    assert [type(v) for v in values] == [int] * 3 + [float, int, int, float, int, float, int]

@@ -410,3 +410,38 @@ def test_a_strided_later_stage_is_named_when_the_file_loads(tmp_path, capsys):
         load_model(path)
     assert cli_main(["info", str(path)]) == 1
     assert "block1.conv2: stride 2 != 1" in capsys.readouterr().err
+
+
+def test_a_model_of_numpy_integers_saves_and_reloads_byte_identical(tmp_path):
+    net = build_mlp(4, 3, 5, 4, 3, seed=0)
+    model = default_model(net, first_stride=np.int64(2))
+    assert model.first_stride == 2 and type(model.first_stride) is int
+    assert (model.decoder.window_steps, model.decoder.smooth_steps) == (55, 5)
+    first, second = tmp_path / "a.lcn", tmp_path / "b.lcn"
+    save_model(model, first)
+    save_model(load_model(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+# Edits whose values once passed a constructor or escaped as another error.
+OUT_OF_RANGE = {
+    "fmax-above-nyquist": ("lico", _set("frontend", "fmax", value=12000.0), "above half"),
+    "scale-past-floats": (
+        "quantized", _set("arch", "stages", 0, "weight_params", "scale", value=10**400),
+        "does not fit a float",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_a_manifest_number_out_of_range_fails_in_load_and_cli(tmp_path, capsys, case):
+    kind, mutate, fragment = OUT_OF_RANGE[case]
+    path = _save(tmp_path, kind)
+    load_model(path)
+    _rewrite(path, mutate)
+    with pytest.raises(ManifestError, match=fragment):
+        load_model(path)
+    assert cli_main(["info", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
