@@ -79,26 +79,29 @@ def _one(shape, index, value):
     return arr
 
 
+WEIGHTS = (ShapeError, "weights and bias must be finite")
+TENSOR = (InvalidInputError, "tensor contains NaN or Inf")
 NOT_FINITE = {
-    "linear-nan-weight": lambda: LinearLayer(_one((3, 2), (2, 1), np.nan), np.zeros(2)),
-    "linear-inf-bias": lambda: LinearLayer(np.ones((3, 2)), _one(2, 0, np.inf)),
-    "linear-minus-inf-weight": lambda: LinearLayer(_one((3, 2), (0, 0), -np.inf), np.zeros(2)),
-    "conv-nan-weight": lambda: Conv1DLayer(_one((2, 3, 4), (1, 2, 3), np.nan), np.zeros(2)),
-    "conv-inf-bias": lambda: Conv1DLayer(np.ones((2, 3, 4)), _one(2, 1, -np.inf)),
-    "tensor-nan": lambda: Tensor2D([[1.0, np.nan]]),
-    "tensor-inf-1-d": lambda: Tensor2D([1.0, -np.inf]),
-    "tensor-inf-last": lambda: Tensor2D(_one((4, 5), (3, 4), np.inf)),
+    "linear-nan-weight": (lambda: LinearLayer(_one((3, 2), (2, 1), np.nan), np.zeros(2)), WEIGHTS),
+    "linear-inf-bias": (lambda: LinearLayer(np.ones((3, 2)), _one(2, 0, np.inf)), WEIGHTS),
+    "linear-minus-inf-weight": (
+        lambda: LinearLayer(_one((3, 2), (0, 0), -np.inf), np.zeros(2)), WEIGHTS,
+    ),
+    "conv-nan-weight": (
+        lambda: Conv1DLayer(_one((2, 3, 4), (1, 2, 3), np.nan), np.zeros(2)), WEIGHTS,
+    ),
+    "conv-inf-bias": (lambda: Conv1DLayer(np.ones((2, 3, 4)), _one(2, 1, -np.inf)), WEIGHTS),
+    "tensor-nan": (lambda: Tensor2D([[1.0, np.nan]]), TENSOR),
+    "tensor-inf-1-d": (lambda: Tensor2D([1.0, -np.inf]), TENSOR),
+    "tensor-inf-last": (lambda: Tensor2D(_one((4, 5), (3, 4), np.inf)), TENSOR),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NOT_FINITE))
 def test_a_value_that_is_not_finite_is_refused(case):
-    error, message = (
-        (InvalidInputError, "tensor contains NaN or Inf") if case.startswith("tensor")
-        else (ShapeError, "weights and bias must be finite")
-    )
+    build, (error, message) = NOT_FINITE[case]
     with pytest.raises(error) as exc:
-        NOT_FINITE[case]()
+        build()
     assert str(exc.value) == message
 
 
@@ -108,11 +111,15 @@ NETS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(NETS))
-def test_a_loaded_model_steps_the_plan_its_net_checked(tmp_path, kind):
+def _loaded(tmp_path, kind):
     path = tmp_path / "m.lcn"
     save_model(default_model(NETS[kind]()), path)
-    model = load_model(path)
+    return load_model(path)
+
+
+@pytest.mark.parametrize("kind", sorted(NETS))
+def test_a_loaded_model_steps_the_plan_its_net_checked(tmp_path, kind):
+    model = _loaded(tmp_path, kind)
     assert model.stages is model.net.plan
 
 
@@ -124,8 +131,9 @@ def test_an_mlp_at_another_stride_gets_its_own_plan():
 
 
 @pytest.mark.parametrize("kind", sorted(NETS))
-def test_each_stage_plan_call_builds_fresh_stages(kind):
-    net = NETS[kind]()
+def test_each_stage_plan_call_builds_fresh_stages(tmp_path, kind):
+    """linearize_network hands its stages to callers that may change them."""
+    net = _loaded(tmp_path, kind).net
     first, second = stage_plan(net), stage_plan(net)
     assert all(a is not b for a, b in zip(first, second))
     assert all(a is not b for a, b in zip(first, net.plan))
