@@ -5,9 +5,10 @@ multiply-accumulate accounting and every streaming engine read.
 
 A block chains three conv layers with channel plan
 c_in -> (K-conv) -> w -> (1x1 expand) -> e*w -> (1x1 project) -> w,
-relu after the first two, none after the third. A residual connection
-(adding the newest block-input column to each output column) is present
-exactly when the block has stride 1 and c_in == w.
+relu after the first two, none after the third. A block may carry a
+residual connection (adding the newest block-input column to each output
+column); the builders give it one exactly when the block has stride 1 and
+c_in == w.
 """
 
 from __future__ import annotations
@@ -152,28 +153,30 @@ def _checked_plan(net) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Builders. Weights are drawn uniform in [-a, a] with a = 1/sqrt(fan_in) from
-# a seeded generator; biases start at zero so a freshly built network has no
-# startup transient relative to its zero left-context streaming form.
+# Assemblers, which the builders and load_model share, and builders. Weights
+# are drawn uniform in [-a, a] with a = 1/sqrt(fan_in) from a seeded generator;
+# biases start at zero so a freshly built network has no startup transient
+# relative to its zero left-context streaming form.
 # ---------------------------------------------------------------------------
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+def _draw(rng, shape, fan_in) -> np.ndarray:
+    a = 1.0 / np.sqrt(fan_in)
+    return rng.uniform(-a, a, size=shape)
 
 
-def _init_conv(rng, out_ch, in_ch, kernel, stride, activation) -> Conv1DLayer:
-    a = 1.0 / np.sqrt(in_ch * kernel)
-    w = rng.uniform(-a, a, size=(out_ch, in_ch, kernel))
-    return Conv1DLayer(w, np.zeros(out_ch), stride, activation)
+def lico_block(layers, stride, residual) -> LiCoBlock:
+    """The block of three (weights, bias) pairs: K-conv at stride, 1x1 expand, 1x1 project."""
+    kinds = ((stride, "relu"), (1, "relu"), (1, "none"))
+    convs = [Conv1DLayer(w, b, s, act) for (w, b), (s, act) in zip(layers, kinds, strict=True)]
+    return LiCoBlock(*convs, residual)
 
 
-def _init_linear(rng, in_dim, out_dim, activation) -> LinearLayer:
-    a = 1.0 / np.sqrt(in_dim)
-    w = rng.uniform(-a, a, size=(in_dim, out_dim))
-    return LinearLayer(w, np.zeros(out_dim), activation)
+def mlp_net(input_frames, input_features, layers) -> MlpNet:
+    """The MLP of its (weights, bias) pairs in order, classifier last."""
+    *hidden, (w, b) = layers
+    hidden = tuple(LinearLayer(hw, hb, "relu") for hw, hb in hidden)
+    return MlpNet(input_frames, input_features, hidden, LinearLayer(w, b))
 
 
 def build_lico_block(c_in, w, e, kernel, stride, seed) -> LiCoBlock:
@@ -184,11 +187,11 @@ def build_lico_block(c_in, w, e, kernel, stride, seed) -> LiCoBlock:
         raise ConfigError(f"kernel must be >= 2, got {kernel}")
     if c_in < 1 or w < 1:
         raise ConfigError("channel widths must be positive")
-    rng = _as_rng(seed)
-    conv1 = _init_conv(rng, w, c_in, kernel, stride, "relu")
-    conv2 = _init_conv(rng, e * w, w, 1, 1, "relu")
-    conv3 = _init_conv(rng, w, e * w, 1, 1, "none")
-    return LiCoBlock(conv1, conv2, conv3, residual=(stride == 1 and c_in == w))
+    rng = np.random.default_rng(seed)  # a Generator comes back as it is
+    # Lazy, so each conv is built before the next draw (see BENCH_20.json).
+    shapes = ((w, c_in, kernel), (e * w, w, 1), (w, e * w, 1))
+    layers = ((_draw(rng, (d, c, k), c * k), np.zeros(d)) for d, c, k in shapes)
+    return lico_block(layers, stride, residual=(stride == 1 and c_in == w))
 
 
 def build_lico_net(input_features, n_blocks, w, e, kernel, first_stride, n_classes, seed) -> LiCoNet:
@@ -197,11 +200,10 @@ def build_lico_net(input_features, n_blocks, w, e, kernel, first_stride, n_class
         raise ConfigError(f"need at least one block, got {n_blocks}")
     if n_classes < 1:
         raise ConfigError(f"need at least one class, got {n_classes}")
-    rng = _as_rng(seed)
-    blocks = [build_lico_block(input_features, w, e, kernel, first_stride, rng)]
-    for _ in range(n_blocks - 1):
-        blocks.append(build_lico_block(w, w, e, kernel, 1, rng))
-    classifier = _init_conv(rng, n_classes, w, 1, 1, "none")
+    rng = np.random.default_rng(seed)
+    inputs = [(input_features, first_stride)] + [(w, 1)] * (n_blocks - 1)
+    blocks = [build_lico_block(c_in, w, e, kernel, s, rng) for c_in, s in inputs]
+    classifier = Conv1DLayer(_draw(rng, (n_classes, w, 1), w), np.zeros(n_classes))
     return LiCoNet(input_features, tuple(blocks), classifier)
 
 
@@ -210,13 +212,10 @@ def build_mlp(input_frames, input_features, h1, h2, n_classes, seed) -> MlpNet:
     dims = (input_frames, input_features, h1, h2, n_classes)
     if min(dims) < 1:
         raise ConfigError(f"all dimensions must be positive, got {dims}")
-    rng = _as_rng(seed)
-    hidden = (
-        _init_linear(rng, input_frames * input_features, h1, "relu"),
-        _init_linear(rng, h1, h2, "relu"),
-    )
-    classifier = _init_linear(rng, h2, n_classes, "none")
-    return MlpNet(input_frames, input_features, hidden, classifier)
+    rng = np.random.default_rng(seed)
+    widths = (input_frames * input_features, h1, h2, n_classes)
+    layers = [(_draw(rng, (i, o), i), np.zeros(o)) for i, o in zip(widths, widths[1:])]
+    return mlp_net(input_frames, input_features, layers)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .decoder import DecoderConfig
 from .errors import BadMagicError, ConfigError, ManifestError, NotLinearizableError
 from .errors import TruncatedError, VersionError, is_whole
 from .frontend import NUMBER_FIELDS, FrontendConfig
-from .model import LiCoBlock, LiCoNet, MlpNet, receptive_field_of, stage_plan
+from .model import LiCoNet, MlpNet, lico_block, mlp_net, receptive_field_of, stage_plan
 from .pipeline import LinearLayer, Pipeline, PipelineStage
 from .quantize import QuantizedLinearLayer
 from .tensor import QuantParams
@@ -161,10 +161,8 @@ def _collect(model: Model):
     return manifest, tensors
 
 
-def save_model(model, path) -> None:
-    """Write a model (or bare net, wrapped with defaults) to path."""
-    if not isinstance(model, Model):
-        model = default_model(model)
+def save_model(model: Model, path) -> None:
+    """Write a model to path."""
     manifest, named = _collect(model)
     blob = b"".join(np.ascontiguousarray(a, dtype=_DTYPES[d]).tobytes() for _, a, d in named)
     payload = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -208,35 +206,25 @@ def _rebuild_net(manifest, tensors):
     if kind not in _KINDS:
         raise ManifestError(f"unknown model kind {kind!r}")
     op_type, _, _, qfields = _KINDS[kind]
+
+    def pair(name):
+        return tensors[f"{name}.weight"], tensors[f"{name}.bias"]
+
     if kind == "lico":
-        blocks = []
-        for i, spec in enumerate(arch["blocks"], start=1):
-            layers = [
-                Conv1DLayer(tensors[f"block{i}.conv{j}.weight"], tensors[f"block{i}.conv{j}.bias"],
-                            spec["stride"] if j == 1 else 1, act)
-                for j, act in ((1, "relu"), (2, "relu"), (3, "none"))
-            ]
-            blocks.append(LiCoBlock(*layers, residual=spec["residual"]))
-        w = tensors["classifier.weight"]
-        classifier = Conv1DLayer(
-            w.T.reshape(w.shape[1], w.shape[0], 1), tensors["classifier.bias"], 1, "none"
-        )
-        return LiCoNet(arch["input_features"], tuple(blocks), classifier)
+        blocks = [
+            lico_block([pair(f"block{i}.conv{j}") for j in (1, 2, 3)], spec["stride"],
+                       spec["residual"])
+            for i, spec in enumerate(arch["blocks"], start=1)
+        ]
+        w, b = pair("classifier")  # stored dense, (C, D)
+        return LiCoNet(arch["input_features"], tuple(blocks), Conv1DLayer(w.T[..., None], b))
     if kind == "mlp":
-        hidden = tuple(
-            LinearLayer(tensors[f"layer{i}.weight"], tensors[f"layer{i}.bias"], "relu")
-            for i in range(1, len(arch["hidden"]) + 1)
-        )
-        classifier = LinearLayer(tensors["classifier.weight"], tensors["classifier.bias"], "none")
-        return MlpNet(arch["input_frames"], arch["input_features"], hidden, classifier)
+        names = [f"layer{i}" for i in range(1, len(arch["hidden"]) + 1)] + ["classifier"]
+        return mlp_net(arch["input_frames"], arch["input_features"], [pair(n) for n in names])
 
     def operator(name, spec):
-        return op_type(
-            weights=tensors[f"{name}.weight"],
-            bias=tensors[f"{name}.bias"],
-            activation=spec["activation"],
-            **{f: QuantParams(**spec[f]) for f in qfields},
-        )
+        return op_type(*pair(name), activation=spec["activation"],
+                       **{f: QuantParams(**spec[f]) for f in qfields})
 
     stages = [
         PipelineStage(op=operator(spec["name"], spec), **{f: spec[f] for f in _STAGE_FIELDS})
@@ -277,7 +265,7 @@ def load_model(path) -> Model:
         raise TruncatedError("file ends inside the manifest")
     try:
         manifest = json.loads(raw[10 : 10 + manifest_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON or an integer past Python's digit limit
         raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
     try:
         # A view, not a copy of the blob: each tensor is copied out by astype.

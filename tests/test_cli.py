@@ -1,6 +1,8 @@
 """Command-line tests: init followed by verify on models whose first kernel
 is shorter than their first stride."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -330,3 +332,25 @@ def test_a_wav_that_is_not_pcm_is_refused_at_open(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(["run", model, "--wav", str(wav)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# The files `init --seed 1` writes: each pins one preset's draw order.
+INIT_SHA256 = {
+    ("lico", "large", 1): "afa6a3c6396e5586d5aa6c99882b843b1852d8c203b550e25daaf424744d0776",
+    ("lico", "large", 3): "584b7a1614aee6d5b3398c79e4b3e86fb1067c6687eebea08fad7469e431d077",
+    ("lico", "small", 1): "9057e2449c1b75c5e356796f5454524bf7031f1b80c09d81e1cdb3271041dfe5",
+    ("lico", "small", 3): "a04bcfb364aa29d6c66c5db018ff1353436141a01a637e0f7e9fbe2dc9802a0b",
+    ("mlp", "large", 1): "28b655394a1fb20e78836821e953b9e622be38dc484df6758289e4151a8bacac",
+    ("mlp", "large", 3): "ebcc62029379fdd709e476ceb475229283fecc28faac93b723edaaf15aef6e3e",
+    ("mlp", "small", 1): "3e9eab9aca73535ef4d329a45ff658e2b03e69fae380d70135230c967ce47222",
+    ("mlp", "small", 3): "016fcd6f3c7c190224f432728e052f9aa9adea5f485c0aa7ef62030598be9be9",
+}
+
+
+@pytest.mark.parametrize("arch, preset, stride", sorted(INIT_SHA256))
+def test_init_writes_the_golden_file_of_every_preset(tmp_path, arch, preset, stride):
+    path = tmp_path / "model.lcn"
+    argv = ["init", "--arch", arch, "--preset", preset, "--stride", str(stride), "--seed", "1"]
+    assert cli_main(argv + ["--out", str(path)]) == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == INIT_SHA256[arch, preset, stride]

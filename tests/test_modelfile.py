@@ -445,3 +445,45 @@ def test_a_manifest_number_out_of_range_fails_in_load_and_cli(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
 
+
+
+def test_a_manifest_integer_past_the_digit_limit_fails_in_load_and_cli(tmp_path, capsys):
+    """json.loads refuses an integer of over 4,300 digits with a plain
+    ValueError, which json.dumps cannot write either: the digits go in by hand."""
+    path = _save(tmp_path, "mlp")
+    _rewrite(path, _set("decoder", "threshold", value="NINES"))
+    raw = path.read_bytes()
+    (n,) = struct.unpack_from("<I", raw, 6)
+    payload = raw[10 : 10 + n].replace(b'"NINES"', b"9" * 5000)
+    path.write_bytes(raw[:6] + struct.pack("<I", len(payload)) + payload + raw[10 + n :])
+    with pytest.raises(ManifestError, match="4300 digits"):
+        load_model(path)
+    assert cli_main(["info", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("shape", [lambda c, d: [c * d], lambda c, d: [c, d, 1]], ids=["1d", "3d"])
+def test_a_lico_classifier_weight_of_another_rank_fails_in_load_and_cli(tmp_path, capsys, shape):
+    """A LiCo classifier is stored dense, (C, D); a 1-D one once escaped as IndexError."""
+
+    def mutate(manifest):
+        entry = next(t for t in manifest["tensors"] if t["name"] == "classifier.weight")
+        entry["shape"] = shape(*entry["shape"])
+
+    path = _save(tmp_path, "lico")
+    _rewrite(path, mutate)
+    with pytest.raises(ManifestError):
+        load_model(path)
+    assert cli_main(["info", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_a_first_stride_that_conflicts_with_the_first_layer_is_refused(tmp_path):
+    path = tmp_path / "lico-small-s1.lcn"
+    assert cli_main(["init", "--arch", "lico", "--preset", "small", "--out", str(path)]) == 0
+    _rewrite(path, _set("first_stride", value=3))
+    with pytest.raises(ManifestError, match="conflicts with first-layer stride 1"):
+        load_model(path)
+    with pytest.raises(ConfigError, match="conflicts with first-layer stride 1"):
+        default_model(build_lico_net(3, 2, 3, 2, 3, 1, 3, seed=8), first_stride=3)
