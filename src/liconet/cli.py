@@ -6,6 +6,7 @@ Exit codes: 0 ok, 1 verification/operational failure, 2 usage.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import tempfile
 from dataclasses import replace
@@ -95,17 +96,13 @@ def _cmd_quantize(args) -> int:
 def _cmd_run(args) -> int:
     model = load_model(args.model)
     pcm = read_wav(args.wav, model.frontend.sample_rate)
-    dump = open(args.posteriors, "w") if args.posteriors else None
-    try:
+    with open(args.posteriors, "w") if args.posteriors else contextlib.nullcontext() as dump:
         for res in run_stream(model, [pcm], engine=args.engine, threshold=args.threshold):
             if dump:
                 probs = " ".join(f"{p:.6f}" for p in res.posterior.probs)
                 dump.write(f"{res.step} {probs}\n")
             if res.event is not None:
                 print(f"t={res.time_s:.3f} score={res.event.score:.4f}")
-    finally:
-        if dump:
-            dump.close()
     return 0
 
 

@@ -10,6 +10,11 @@ Softmax and the decoder run on blocks of steps, and one step is a block of
 one (as streaming and whole-input inference are two forms of one model in
 Rybakov et al. 2020, arXiv:2005.06720). Each sum runs over one step's own
 row or window, so no bit depends on how the steps are split into blocks.
+
+Numbers are checked once, where they enter the library: `softmax` checks
+logits and `PosteriorFrame(...)` probabilities. Frames computed from checked
+numbers (softmax blocks, smoothed blocks and the steps of `frames()`) are
+built by `PosteriorFrame._of` over read-only arrays, without a second check.
 """
 
 from __future__ import annotations
@@ -30,7 +35,11 @@ def _least(a):
 @dataclass(frozen=True)
 class PosteriorFrame:
     """Class probabilities at one inference step, (C,), or at the steps
-    from `timestamp` on, (n, C) with one row per step."""
+    from `timestamp` on, (n, C) with one row per step.
+
+    `PosteriorFrame(...)` checks the probabilities it is given; `_of`
+    builds the frames the library computes from checked numbers, unchecked.
+    Either way `probs` is read-only."""
 
     timestamp: int
     probs: np.ndarray
@@ -46,20 +55,26 @@ class PosteriorFrame:
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
+    @classmethod
+    def _of(cls, timestamp: int, probs: np.ndarray) -> "PosteriorFrame":
+        """A frame over probabilities the library computed, made read-only."""
+        probs.setflags(write=False)
+        frame = object.__new__(cls)
+        frame.__dict__.update(timestamp=timestamp, probs=probs)
+        return frame
+
     def frames(self) -> list:
-        """A block's steps as one-step frames that share its checked rows."""
+        """A block's steps as one-step frames that share its rows."""
         if self.probs.ndim == 1:
             return [self]
-        frames = []
-        for k, row in enumerate(self.probs, self.timestamp):
-            frames.append(frame := object.__new__(PosteriorFrame))
-            frame.__dict__.update(timestamp=k, probs=row)
-        return frames
+        return [PosteriorFrame._of(k, row) for k, row in enumerate(self.probs, self.timestamp)]
 
 
 def softmax(logits) -> np.ndarray:
     """Probabilities of (C,) logits, or of each row of (n, C) logits."""
     z = np.array(logits, dtype=np.float64, order="C", ndmin=1)
+    if not 1 <= z.ndim <= 2 or z.size < 1:
+        raise InvalidInputError(f"logits must be (C,) or (n, C), got shape {z.shape}")
     if not _least(np.isfinite(z)):
         raise InvalidInputError("logits must be finite")
     z -= np.maximum.reduce(z, axis=-1, keepdims=True)
@@ -70,7 +85,7 @@ def softmax(logits) -> np.ndarray:
 
 def posterior_from_logits(timestamp: int, logits) -> PosteriorFrame:
     """A frame of (C,) logits, or of (C, n) logits with one column per step."""
-    return PosteriorFrame(timestamp, softmax(np.asarray(logits).T))
+    return PosteriorFrame._of(timestamp, softmax(np.asarray(logits).T))
 
 
 @dataclass(frozen=True)
@@ -170,7 +185,7 @@ class KeywordDecoder:
         total = np.ascontiguousarray(np.add.reduce(runs, axis=2).T)
         first, self._steps = self._steps + 1, self._steps + n
         total /= s if first >= s else np.minimum(np.arange(first, first + n), s)[:, None]
-        smoothed = PosteriorFrame(t0, total)
+        smoothed = PosteriorFrame._of(t0, total)
 
         rows = np.concatenate((self._window, total.T.take(self._keywords, axis=0)), axis=1)
         self._window = rows[:, n:]

@@ -265,8 +265,10 @@ def load_model(path) -> Model:
         raise TruncatedError("file ends inside the manifest")
     try:
         manifest = json.loads(raw[10 : 10 + manifest_len].decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8, bad JSON or an integer past Python's digit limit
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # valid JSON, but an integer past Python's digit limit
+        raise ManifestError(f"manifest holds a value Python cannot read: {exc}") from exc
     try:
         # A view, not a copy of the blob: each tensor is copied out by astype.
         tensors = _read_tensors(manifest, memoryview(raw)[10 + manifest_len :])

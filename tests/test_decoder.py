@@ -3,6 +3,8 @@ window scores and events, on random class counts, keyword subsets and
 window lengths, with logits large enough that some probabilities
 underflow to exactly 0."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,24 @@ def test_non_finite_logits_are_rejected(logits):
 def test_non_finite_probabilities_are_rejected(probs):
     with pytest.raises(InvalidInputError):
         PosteriorFrame(0, probs)
+
+
+@pytest.mark.parametrize(
+    "logits",
+    [[], np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((2, 3, 4)), np.zeros((1, 2, 3, 4))],
+    ids=["empty", "no-rows", "no-classes", "3d", "4d"],
+)
+@pytest.mark.parametrize("entry", ["softmax", "posterior_from_logits"])
+def test_empty_and_many_dimensional_logits_are_refused_naming_their_shape(entry, logits):
+    """Logits enter through softmax, which refuses them before numpy's
+    argmin of an empty array can escape; posterior_from_logits hands it
+    one column per step, so it sees the logits transposed."""
+    if entry == "softmax":
+        refuse, shape = softmax, np.shape(logits)
+    else:
+        refuse, shape = (lambda z: posterior_from_logits(0, z)), np.shape(np.transpose(logits))
+    with pytest.raises(InvalidInputError, match=re.escape(f"got shape {shape}")):
+        refuse(logits)
 
 
 def _decode_blocks(decoder, probs, cuts):

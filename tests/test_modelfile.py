@@ -463,6 +463,28 @@ def test_a_manifest_integer_past_the_digit_limit_fails_in_load_and_cli(tmp_path,
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "damage, says_json",
+    [(lambda raw: raw.replace(b'"NINES"', b"9" * 5000), False),
+     (_manifest_byte(b"\xff"), True),
+     (_manifest_byte(b"["), True)],
+    ids=["5000-digits", "byte-ff", "not-json"],
+)
+def test_only_a_manifest_that_is_not_json_is_reported_as_not_json(tmp_path, damage, says_json):
+    """An integer past Python's digit limit is valid JSON: its error keeps
+    Python's text under a message of its own."""
+    path = _save(tmp_path, "mlp")
+    _rewrite(path, _set("decoder", "threshold", value="NINES"))
+    raw = path.read_bytes()
+    (n,) = struct.unpack_from("<I", raw, 6)
+    payload = damage(raw[: 10 + n])[10:]
+    path.write_bytes(raw[:6] + struct.pack("<I", len(payload)) + payload + raw[10 + n :])
+    with pytest.raises(ManifestError) as err:
+        load_model(path)
+    assert ("manifest is not valid JSON" in str(err.value)) == says_json
+    assert ("4300 digits" in str(err.value)) != says_json
+
+
 @pytest.mark.parametrize("shape", [lambda c, d: [c * d], lambda c, d: [c, d, 1]], ids=["1d", "3d"])
 def test_a_lico_classifier_weight_of_another_rank_fails_in_load_and_cli(tmp_path, capsys, shape):
     """A LiCo classifier is stored dense, (C, D); a 1-D one once escaped as IndexError."""

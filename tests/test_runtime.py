@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liconet.cli import main as cli_main
-from liconet.decoder import softmax
+from liconet.decoder import PosteriorFrame, softmax
 from liconet.frontend import FeatureStream
 from liconet.linearize import linearize_network
 from liconet.model import build_lico_net, build_mlp, network_forward
@@ -126,6 +126,36 @@ def test_int8_step_results_do_not_depend_on_how_the_pcm_is_split(name, cuts):
     assert any(event is not None for *_, event in whole)
     chunks = np.split(SPLIT_PCM, sorted(cuts))
     assert _results(SPLIT_INT8_MODELS[name], chunks, engine="int8") == whole
+
+
+@pytest.mark.parametrize("pushes", ["10ms", "whole"])
+@pytest.mark.parametrize("engine", ["linear", "int8"])
+@pytest.mark.parametrize("name", sorted(SPLIT_MODELS))
+def test_every_step_posterior_is_read_only_non_negative_and_sums_to_one(name, engine, pushes):
+    """The frames run_stream yields are computed, not checked on the way:
+    softmax and smoothing must give them these properties on their own."""
+    model = (SPLIT_MODELS if engine == "linear" else SPLIT_INT8_MODELS)[name]
+    chunks = np.split(SPLIT_PCM, range(160, SPLIT_PCM.size, 160) if pushes == "10ms" else [])
+    results = list(run_stream(model, chunks, engine=engine))
+    assert results
+    for res in results:
+        for frame in (res.posterior, res.smoothed):
+            assert frame.timestamp == res.step and frame.probs.ndim == 1
+            assert not frame.probs.flags.writeable
+            assert frame.probs.min() >= 0.0
+            assert abs(frame.probs.sum() - 1.0) <= 1e-6
+
+
+def test_run_stream_checks_no_frame_it_computes(monkeypatch):
+    """A frame built by PosteriorFrame(...) is checked; run_stream builds
+    every frame from checked logits and must not pay for a second check."""
+    checks = []
+    check = PosteriorFrame.__post_init__
+    monkeypatch.setattr(PosteriorFrame, "__post_init__", lambda f: checks.append(check(f)))
+    results = list(run_stream(SPLIT_MODELS["mlp-s1"], [SPLIT_PCM]))
+    assert results and not checks
+    PosteriorFrame(0, [0.5, 0.5])
+    assert len(checks) == 1
 
 
 @pytest.mark.parametrize("name", sorted(SPLIT_INT8_MODELS))
