@@ -108,31 +108,31 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     model = load_model(args.model)
-    conv = make_engine(model, "conv")
     net, t = model.net, model.first_stride
-    size = (net.input_features, args.steps * t)
+    lead = model.receptive_field - t
+    size = (net.input_features, lead + args.steps * t)
     stream = np.random.default_rng(args.seed).normal(0.0, 1.0, size=size)
     held_out = np.random.default_rng([args.seed, 1]).normal(0.0, 1.0, size=size)
 
+    def streamed(eng, frames):  # a stream starts as run_stream starts it
+        eng.prime_array(frames[:, :lead])
+        return eng.step_array(frames[:, lead:])
+
     # The linearized pipeline is stepped as `linearize` writes it and `run` reads it.
-    conv_out = conv.step_array(stream)
+    conv_out = streamed(make_engine(model, "conv"), stream)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "linear.lcn"
         save_model(replace(model, net=linearize_network(net, t)), path)
         lin_eng = make_engine(load_model(path), "linear")
-    lin_out = lin_eng.step_array(stream)
-
-    pad = model.receptive_field - t
-    padded = np.concatenate([np.zeros((net.input_features, pad)), stream], axis=1)
-    batch_out = network_forward(net, Tensor2D(padded), t).data
+    lin_out = streamed(lin_eng, stream)
+    batch_out = network_forward(net, Tensor2D(stream), t).data
 
     dev_batch = float(np.max(np.abs(conv_out - batch_out)))
     dev_linear = float(np.max(np.abs(lin_out - conv_out)))
 
     # Calibrated on the seeded stream, int8 drift is measured on a held-out one.
     qnet = quantize_network(lin_eng, calibrate_activations(lin_eng, Tensor2D(stream)))
-    lin_eng.reset()
-    drift = np.abs(softmax(lin_eng.step_array(held_out).T) - softmax(qnet.step_array(held_out).T))
+    drift = np.abs(softmax(streamed(lin_eng, held_out).T) - softmax(streamed(qnet, held_out).T))
     dev_quant = float(np.max(drift.sum(axis=0) / args.steps))
 
     ok = True

@@ -45,7 +45,7 @@ class PosteriorFrame:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.ascontiguousarray(self.probs, dtype=np.float64)
+        p = np.array(self.probs, dtype=np.float64, order="C", ndmin=1)  # a copy
         if not 1 <= p.ndim <= 2 or p.size < 1:
             raise InvalidInputError(f"probs must be (C,) or (n, C), got shape {p.shape}")
         sums = np.add.reduce(p, axis=-1)  # inf for an inf row; NaN fails every comparison

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, is_real, is_whole, plain
+from .errors import ConfigError, InvalidInputError, is_real, is_whole, plain
 from .pipeline import windows
 
 # Frames transformed in one pass; bounds the memory of a long push.
@@ -128,12 +128,18 @@ class FeatureStream:
         self._buffer = np.zeros(0)
 
     def push(self, samples) -> np.ndarray:
-        """Feed 16-bit (divided by 32768) or float PCM; returns the newly
-        completed frames as (n_mels, k), transformed at most _BLOCK_FRAMES to a pass."""
+        """Feed 1-D int16 (divided by 32768) or finite float PCM; returns the
+        newly completed frames as (n_mels, k), transformed at most _BLOCK_FRAMES to a pass."""
         cfg = self.cfg
         hop, win = cfg.hop_samples, cfg.window_samples
         pcm = np.asarray(samples)
-        pcm = pcm / 32768.0 if pcm.dtype == np.int16 else pcm.astype(np.float64)
+        dtype, shape = pcm.dtype, pcm.shape
+        if len(shape) != 1 or dtype != np.int16 and dtype.kind != "f":
+            raise InvalidInputError(f"PCM must be 1-D int16 or float, got {dtype} of shape {shape}")
+        if dtype == np.int16:
+            pcm = pcm / 32768.0
+        elif not np.isfinite(pcm := pcm.astype(np.float64)).all():
+            raise InvalidInputError(f"PCM must be finite: {dtype} {shape} holds NaN or inf")
         buf = np.concatenate([self._buffer, pcm])
         blocks = [np.zeros((cfg.n_mels, 0))]
         while buf.size >= win:

@@ -362,9 +362,11 @@ def receptive_field_of(stages) -> int:
     max(K1, s1) frames (a whole stride even when the kernel is shorter),
     and stage j widens the footprint by K_j - 1 of its input columns,
     each s_1 * ... * s_(j-1) frames apart. For a compliant net (every
-    later stride 1), RF - s1 = max(K1 - s1, 0) + s1 * sum(K - 1) is the
-    left zero padding under which the streaming form equals batch, and
-    the priming prefix of a stream.
+    later stride 1), RF - s1 = max(K1 - s1, 0) + s1 * sum(K - 1) frames
+    are a stream's priming prefix, after which the stream equals the
+    batch pass over the same frames. A stream from zero histories equals
+    batch over RF - s1 zero frames only when every stage maps a zero
+    input to zero, as the zero biases of `liconet init` do.
     """
     first, *later = stages
     rf, spacing = max(first.kernel, first.stride), first.stride

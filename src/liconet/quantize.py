@@ -122,9 +122,11 @@ class CalibrationRanges:
 def calibrate_activations(lnet: Pipeline, calib_stream: Tensor2D) -> CalibrationRanges:
     """Stream calibration data in float and record per-stage ranges.
 
-    Runs a fresh stream over the pipeline's stages, MAX_PASS_STEPS steps
-    per pass (a window's bits do not depend on the pass); the caller's
-    stream state is not disturbed. The stream must cover at least one step.
+    Runs a fresh stream over the pipeline's stages from zero histories,
+    unprimed, MAX_PASS_STEPS steps per pass (a window's bits do not depend
+    on the pass); the caller's stream state is not disturbed. The stream
+    must cover at least one step. The zero-history start stays because the
+    int8 oracle test and the int8 goldens pin the ranges it gives.
     """
     t = lnet.chunk_size
     if calib_stream.channels != lnet.input_features:

@@ -133,6 +133,46 @@ def test_verify_steps_the_saved_linearized_pipeline(tmp_path, capsys, monkeypatc
     assert lines[1].endswith(" FAIL")
 
 
+def _with_biases(net):
+    """The net with N(0, 0.1) biases in place of the zeros `init` writes."""
+    from liconet.conv import Conv1DLayer
+    from liconet.model import LiCoNet, MlpNet, lico_block, mlp_net
+
+    rng = np.random.default_rng(0)
+
+    def biased(layers):
+        return [(layer.weights, rng.normal(0.0, 0.1, layer.bias.shape)) for layer in layers]
+
+    if isinstance(net, MlpNet):
+        return mlp_net(net.input_frames, net.input_features, biased([*net.hidden, net.classifier]))
+    blocks = [lico_block(biased(b.layers), b.stride, b.residual) for b in net.blocks]
+    (w, b), = biased([net.classifier])
+    return LiCoNet(net.input_features, tuple(blocks), Conv1DLayer(w, b))
+
+
+@pytest.mark.parametrize(
+    "arch, stride", [("lico", 1), ("lico", 3), ("mlp", 3)], ids=["lico-s1", "lico-s3", "mlp-s3"]
+)
+def test_verify_passes_on_a_net_with_nonzero_biases(tmp_path, capsys, arch, stride):
+    """verify starts every stream as run_stream does, primed on real frames,
+    so a stage that maps zero input to nonzero output (a bias) still gives
+    the batch pass over the same frames."""
+    from liconet.model import build_lico_net, build_mlp
+    from liconet.modelfile import default_model, save_model
+
+    if arch == "lico":
+        net = build_lico_net(40, 3, 8, 2, 3, stride, 5, seed=1)
+    else:
+        net = build_mlp(5, 40, 16, 24, 4, seed=1)
+    path = str(tmp_path / "model.lcn")
+    save_model(default_model(_with_biases(net), first_stride=stride), path)
+    assert cli_main(["verify", path, "--steps", "50"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = ["streaming vs batch", "linearized vs streaming", "int8 mean posterior drift"]
+    assert [line.split(":")[0] for line in lines] == names
+    assert all(line.endswith(" ok") for line in lines)
+
+
 def _riff_prefix(n):
     """The first n bytes of a valid 16 kHz mono PCM16 WAV file."""
     import io

@@ -87,6 +87,20 @@ def test_non_finite_probabilities_are_rejected(probs):
         PosteriorFrame(0, probs)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_a_frame_copies_the_callers_probabilities(dtype):
+    """The caller's array stays writable, and writing to it leaves the
+    frame's read-only probs as they were."""
+    p = np.array([0.25, 0.75], dtype=dtype)
+    frame = PosteriorFrame(0, p)
+    p[0] = 1.0
+    assert p.flags.writeable
+    assert frame.probs.tolist() == [0.25, 0.75]
+    assert not frame.probs.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        frame.probs[0] = 1.0
+
+
 @pytest.mark.parametrize(
     "logits",
     [[], np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((2, 3, 4)), np.zeros((1, 2, 3, 4))],

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liconet.errors import InvalidInputError
 from liconet.frontend import FeatureStream, FrontendConfig
 from reference import htk_mel_centers, logmel_frames_loops
 
@@ -119,3 +120,34 @@ def test_mel_bank_matches_triangles_built_bin_by_bin(kwargs):
                 want[m, k] = (hi - f) / (hi - mid)
     assert cfg.mel_bank.shape == want.shape
     np.testing.assert_allclose(cfg.mel_bank, want, rtol=0, atol=1e-12)
+
+
+UNREADABLE = "PCM must be 1-D int16 or float, got {} of shape {}".format
+NOT_FINITE = "PCM must be finite: {} {} holds NaN or inf".format
+
+
+@pytest.mark.parametrize(
+    "pcm, message",
+    [
+        (PCM_INT16.astype(np.int32), UNREADABLE("int32", (3000,))),
+        (PCM_INT16.astype(np.uint8), UNREADABLE("uint8", (3000,))),
+        (PCM_INT16.reshape(2, 1500), UNREADABLE("int16", (2, 1500))),
+        (PCM.reshape(1, 3000), UNREADABLE("float64", (1, 3000))),
+        (np.float64(0.5), UNREADABLE("float64", ())),
+        (np.where(np.arange(3000) == 7, np.nan, PCM), NOT_FINITE("float64", (3000,))),
+        (np.append(PCM, np.inf).astype(np.float32), NOT_FINITE("float32", (3001,))),
+    ],
+    ids=["int32", "uint8", "2-d-int16", "2-d-float", "scalar", "nan", "inf-float32"],
+)
+def test_push_refuses_pcm_it_cannot_read_naming_its_dtype_and_shape(pcm, message):
+    """Integer PCM other than int16 would be read unscaled, a 2-D array
+    would reach numpy's concatenate, and a NaN would surface only as
+    non-finite logits steps later; each is refused at the push, which
+    leaves the stream as it was."""
+    stream = FeatureStream(CFG)
+    stream.push(PCM[:100])
+    with pytest.raises(InvalidInputError) as exc:
+        stream.push(pcm)
+    assert str(exc.value) == message
+    rest = stream.push(PCM[100:])
+    assert rest.tobytes() == WHOLE["float"].tobytes()
