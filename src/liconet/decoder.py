@@ -57,14 +57,13 @@ class PosteriorFrame:
 
     @classmethod
     def _of(cls, timestamp: int, probs: np.ndarray) -> "PosteriorFrame":
-        """A frame over probabilities the library computed, made read-only."""
-        probs.setflags(write=False)
+        """A frame over read-only probabilities the library computed."""
         frame = object.__new__(cls)
         frame.__dict__.update(timestamp=timestamp, probs=probs)
         return frame
 
     def frames(self) -> list:
-        """A block's steps as one-step frames that share its rows."""
+        """A block's steps as one-step frames over its rows, read-only as it is."""
         if self.probs.ndim == 1:
             return [self]
         return [PosteriorFrame._of(k, row) for k, row in enumerate(self.probs, self.timestamp)]
@@ -75,7 +74,7 @@ def softmax(logits) -> np.ndarray:
     z = np.array(logits, dtype=np.float64, order="C", ndmin=1)
     if not 1 <= z.ndim <= 2 or z.size < 1:
         raise InvalidInputError(f"logits must be (C,) or (n, C), got shape {z.shape}")
-    if not _least(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise InvalidInputError("logits must be finite")
     z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(z, out=z)
@@ -85,7 +84,9 @@ def softmax(logits) -> np.ndarray:
 
 def posterior_from_logits(timestamp: int, logits) -> PosteriorFrame:
     """A frame of (C,) logits, or of (C, n) logits with one column per step."""
-    return PosteriorFrame._of(timestamp, softmax(np.asarray(logits).T))
+    probs = softmax(np.asarray(logits).T)
+    probs.setflags(write=False)
+    return PosteriorFrame._of(timestamp, probs)
 
 
 @dataclass(frozen=True)
@@ -185,17 +186,19 @@ class KeywordDecoder:
         total = np.ascontiguousarray(np.add.reduce(runs, axis=2).T)
         first, self._steps = self._steps + 1, self._steps + n
         total /= s if first >= s else np.minimum(np.arange(first, first + n), s)[:, None]
+        total.setflags(write=False)
         smoothed = PosteriorFrame._of(t0, total)
 
         rows = np.concatenate((self._window, total.T.take(self._keywords, axis=0)), axis=1)
         self._window = rows[:, n:]
         maxima = np.ascontiguousarray(_window_max(rows, w).T)
         if _least(maxima) > 0.0:
-            logs = np.log(maxima)
+            logs = np.log(maxima, out=maxima)
         else:  # a zero maximum makes the score 0: its log is -inf
             logs = np.log(maxima, out=np.full(maxima.shape, -np.inf), where=maxima > 0.0)
-        scores = np.exp(np.add.reduce(logs, axis=1) / len(self._keywords))
-        values = np.minimum(scores, 1.0, out=scores).tolist()
+        scores = np.add.reduce(logs, axis=1)
+        scores /= len(self._keywords)
+        values = np.minimum(np.exp(scores, out=scores), 1.0, out=scores).tolist()
 
         threshold = self.cfg.threshold
         rises = [0] if self._prev_score < threshold <= values[0] else []

@@ -9,7 +9,8 @@ identity stats are the default.
 FeatureStream frames its samples with pipeline.windows, as every stage
 frames its columns, and transforms a push's complete frames in one pass.
 Each frame still gets its own rfft and mel-bank GEMV, so frames are
-byte-identical however the PCM is split across pushes.
+byte-identical however the PCM is split across pushes. A frame that
+completes alone, as in a live push, takes the 1-D form of the same calls.
 """
 
 from __future__ import annotations
@@ -114,6 +115,19 @@ class FrontendConfig:
         return bank
 
 
+def pcm_samples(samples) -> np.ndarray:
+    """1-D int16 PCM / 32768 or finite float PCM as float64; refuses any other PCM."""
+    pcm = np.asarray(samples)
+    dtype, shape = pcm.dtype, pcm.shape
+    if len(shape) != 1 or dtype != np.int16 and dtype.kind != "f":
+        raise InvalidInputError(f"PCM must be 1-D int16 or float, got {dtype} of shape {shape}")
+    if dtype == np.int16:
+        return pcm / 32768.0
+    if not np.isfinite(pcm := pcm.astype(np.float64)).all():
+        raise InvalidInputError(f"PCM must be finite: {dtype} {shape} holds NaN or inf")
+    return pcm
+
+
 class FeatureStream:
     """Incremental framing: one normalized frame per hop once a full
     window of samples has accumulated. The emitted frames are independent
@@ -132,24 +146,23 @@ class FeatureStream:
         newly completed frames as (n_mels, k), transformed at most _BLOCK_FRAMES to a pass."""
         cfg = self.cfg
         hop, win = cfg.hop_samples, cfg.window_samples
-        pcm = np.asarray(samples)
-        dtype, shape = pcm.dtype, pcm.shape
-        if len(shape) != 1 or dtype != np.int16 and dtype.kind != "f":
-            raise InvalidInputError(f"PCM must be 1-D int16 or float, got {dtype} of shape {shape}")
-        if dtype == np.int16:
-            pcm = pcm / 32768.0
-        elif not np.isfinite(pcm := pcm.astype(np.float64)).all():
-            raise InvalidInputError(f"PCM must be finite: {dtype} {shape} holds NaN or inf")
-        buf = np.concatenate([self._buffer, pcm])
-        blocks = [np.zeros((cfg.n_mels, 0))]
+        buf = np.concatenate([self._buffer, pcm_samples(samples)])
+        blocks, block = [], (_BLOCK_FRAMES - 1) * hop + win  # samples of _BLOCK_FRAMES frames
         while buf.size >= win:
-            frames = windows(buf[None, : (_BLOCK_FRAMES - 1) * hop + win], win, hop)
-            spectrum = np.fft.rfft(frames * cfg.hann, n=cfg.n_fft)
+            lone = buf.size < win + hop  # a live push's one frame: the 1-D form of each call
+            rows = buf[:win] if lone else windows(buf[None, :block], win, hop)
+            spectrum = np.fft.rfft(rows * cfg.hann, n=cfg.n_fft)
             power = spectrum.real**2 + spectrum.imag**2
             # One GEMV per frame, as a single frame gets: a GEMM would sum
             # in another order, so frames would depend on the push size.
             energies = np.matvec(cfg.mel_bank, power)
-            blocks.append(((np.log(energies + cfg.log_floor) - cfg.norm_mean) / cfg.norm_std).T)
-            buf = buf[len(frames) * hop :]
+            energies += cfg.log_floor
+            np.log(energies, out=energies)
+            energies -= cfg.norm_mean
+            energies /= cfg.norm_std
+            blocks.append(energies[:, None] if lone else energies.T)
+            buf = buf[(1 if lone else len(rows)) * hop :]
         self._buffer = buf.copy()  # not a view that keeps a long push alive
-        return np.concatenate(blocks, axis=1)
+        if len(blocks) == 1:
+            return blocks[0]
+        return np.concatenate(blocks, axis=1) if blocks else np.empty((cfg.n_mels, 0))

@@ -15,18 +15,20 @@ handing every (C, K) window that a whole stride completes to its operator
 as one (n, C*K) matrix, and keeping the columns its windows did not
 consume, a partial stride included, as the next history. `windows` frames
 them, and the frontend's audio, through one strided view: a pointwise
-stage's rows are a free view of the previous operator's output, a
-kernel-K stage's rows one gather copy, and a lone window is copied
-directly. A residual adds the input of the stage that residual_from
-names: the newest input column of each window. A step feeds one
-first-layer stride of frames and emits one column per stage; `step_array`
-takes any whole number of steps in one pass. Each operator gives a window
-the same bits whatever other windows share its call, provided the window
-is a unit-stride row (`windows` copies a strided one), so a step's logits
-do not depend on how many steps run together. Priming is an empty start:
-each stage starts with no history and steps over the prefix like any
-input, so a following step picks up exactly where a batch pass over the
-prefix would. Calibration reads each stage's output from the same loop.
+stage's rows are a free view of the previous operator's output and a
+kernel-K stage's rows one gather copy. `PipelineStage.advance` alone takes
+the one window of a live step: the first K columns of its (C, max(K, s))
+buffer as a unit-stride (C*K,) vector, the 1-D form of the same operator
+call. A residual adds the input of the stage that residual_from names: the
+newest input column of each window. A step feeds one first-layer stride of
+frames and emits one column per stage; `step_array` takes any whole number
+of steps in one pass. Each operator gives a window the same bits whatever
+other windows share its call, provided the window is a unit-stride row (a
+strided one is copied), so a step's logits do not depend on how many steps
+run together. Priming is an empty start: each stage starts with no history
+and steps over the prefix like any input, so a following step picks up
+exactly where a batch pass over the prefix would. Calibration reads each
+stage's output from the same loop.
 
 An operator (a DenseOperator) supplies the arithmetic: `LinearLayer` in
 float64 and `quantize.QuantizedLinearLayer` in int8, whose columns hold
@@ -62,8 +64,9 @@ class DenseOperator:
     """Weights (in_dim, out_dim) and bias (out_dim,) of a stage's operator.
 
     Subclasses define forward(windows, residual=None, source=None), which
-    maps (n, in_dim) windows to (out_dim, n) columns and adds residual,
-    the input columns of the operator source. encode maps float input
+    maps (n, in_dim) windows to (out_dim, n) columns, or one (in_dim,) window
+    to (out_dim,), and adds residual, the input columns of the operator
+    source, shaped as that output. encode maps float input
     columns to what the windows hold, in which a zero column is 0, and
     decode maps output columns back to float; here they are float columns.
 
@@ -124,9 +127,13 @@ class LinearLayer(DenseOperator):
 
         Each window is its own GEMV: a GEMM over n windows would sum in
         another order than one window alone, and so round differently."""
-        z = np.vecmat(windows, self.weights) + self.bias
-        out = apply_activation_array(z, self.activation).T
-        return out if residual is None else out + residual
+        z = np.vecmat(windows, self.weights)
+        z += self.bias
+        if self.activation == "relu":
+            np.maximum(z, 0.0, out=z)
+        if residual is not None:
+            z += residual.T
+        return z.T
 
 
 def windows(buf: np.ndarray, kernel: int, stride: int) -> np.ndarray:
@@ -134,16 +141,13 @@ def windows(buf: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     channel-major to (n, C*K): n = (T - max(K, s)) // s + 1, or none.
 
     Rows are unit-stride, since np.vecmat sums a strided row in another
-    order. A lone window is copied unless it is already a contiguous slice
-    of buf. More windows come from one read-only strided view: at K = 1 its
+    order. They come from one read-only strided view: at K = 1 its
     rows are buf's columns, free when buf holds them unit-stride, as an
     operator's transposed output does; at K > 1 reshaping it copies once,
     unless C = 1 (the frontend's samples).
     """
     c, t = buf.shape
     span = kernel if kernel > stride else stride
-    if span <= t < span + stride:  # live steps: a strided view costs more than this copy
-        return np.ascontiguousarray(buf[:, :kernel].reshape(1, c * kernel))
     if t < span:
         return np.empty((0, c * kernel), buf.dtype)
     n = (t - span) // stride + 1
@@ -199,15 +203,19 @@ class PipelineStage:
     def advance(self, state: StreamState, cols, residual=None, source=None) -> np.ndarray:
         """One output column per window of [history || cols], plus the newest
         columns of residual; after n windows the history is the tail from n*s."""
-        h = state.history.shape[1]
+        k, s, h = self.kernel, self.stride, state.history.shape[1]
         buf = np.concatenate([state.history, cols], axis=1) if h else cols
-        win = windows(buf, self.kernel, self.stride)
-        used = len(win) * self.stride
-        if h or used < buf.shape[1]:
-            state.history = buf[:, used:].copy()
+        t = buf.shape[1]
+        span = k if k > s else s
+        lone = span <= t < span + s  # a live step: its one window as a unit-stride vector
+        win = buf[:, :k].ravel() if lone else windows(buf, k, s)
+        n = 1 if lone else len(win)
+        if h or n * s < t:
+            state.history = buf[:, n * s :].copy()
         if residual is not None:
-            residual = residual[:, residual.shape[1] - len(win) :]
-        return self.op.forward(win, residual, source)
+            residual = residual[:, -1] if lone else residual[:, residual.shape[1] - n :]
+        out = self.op.forward(win, residual, source)
+        return out[:, None] if lone else out
 
 
 def check_geometry(stages) -> None:
@@ -315,17 +323,14 @@ class Pipeline:
     def run(self, columns: np.ndarray) -> list:
         """Advance every stage over float input columns; returns each
         stage's output, classifier last, in its operator's encoding."""
-        cols = self.stages[0].op.encode(columns)
-        inputs, outputs = [], []
+        cols = [self.stages[0].op.encode(columns)]  # stage j's input, then its output
         for st, state in zip(self.stages, self.states):
-            inputs.append(cols)
             r = st.residual_from
             if r is None:
-                cols = st.advance(state, cols)
+                cols.append(st.advance(state, cols[-1]))
             else:
-                cols = st.advance(state, cols, inputs[r], self.stages[r].op)
-            outputs.append(cols)
-        return outputs
+                cols.append(st.advance(state, cols[-1], cols[r], self.stages[r].op))
+        return cols[1:]
 
     def step_array(self, frames: np.ndarray) -> np.ndarray:
         """Steps on (input_features, n * chunk_size) frames, n >= 1; one

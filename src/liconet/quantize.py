@@ -65,6 +65,7 @@ class QuantizedLinearLayer(DenseOperator):
             raise ConfigError(f"in_dim {w.shape[0]} exceeds accumulator-safe {MAX_IN_DIM}")
         m = self.weight_params.scale * self.in_params.scale / self.out_params.scale
         object.__setattr__(self, "_w64", w.astype(np.float64))
+        object.__setattr__(self, "_b64", b.astype(np.float64))  # exact; bias stays int32 to save
         object.__setattr__(self, "_m", m)
 
     def forward(self, windows, residual=None, source=None) -> np.ndarray:
@@ -75,7 +76,7 @@ class QuantizedLinearLayer(DenseOperator):
         0 >= QMIN - zero_point, and on z >= 0 rounding half away is
         floor(z + 0.5)."""
         z = windows @ self._w64
-        z += self.bias
+        z += self._b64
         z *= self._m
         z = z.T
         zp = self.out_params.zero_point

@@ -29,7 +29,7 @@ import numpy as np
 
 from .decoder import DetectionEvent, KeywordDecoder, PosteriorFrame, posterior_from_logits
 from .errors import ConfigError, InvalidInputError
-from .frontend import FeatureStream
+from .frontend import FeatureStream, pcm_samples
 from .modelfile import Model
 from .pipeline import MAX_PASS_STEPS, Pipeline, linear_plan
 
@@ -67,10 +67,8 @@ def read_wav(path, expected_rate: int = 16000) -> np.ndarray:
 
 
 def write_wav(path, samples: np.ndarray, rate: int = 16000) -> None:
-    """Write int16 mono PCM; clips float input to [-1, 1)."""
-    arr = np.asarray(samples)
-    if arr.dtype != np.int16:
-        arr = np.clip(np.round(arr * 32768.0), -32768, 32767).astype(np.int16)
+    """Write int16 mono PCM, clipping float to [-1, 1); refuses what FeatureStream.push refuses."""
+    arr = np.clip(np.round(pcm_samples(samples) * 32768.0), -32768, 32767).astype(np.int16)
     with wave.open(str(path), "wb") as w:
         w.setnchannels(1)
         w.setsampwidth(2)
@@ -118,7 +116,7 @@ def run_stream(model: Model, pcm_chunks, engine: str = "linear", threshold: floa
     for chunk in pcm_chunks:
         frames = features.push(chunk)
         if frames.shape[1]:
-            pending = np.concatenate([pending, frames], axis=1)
+            pending = np.concatenate([pending, frames], axis=1) if pending.shape[1] else frames
         if not primed:
             if pending.shape[1] < prime_len:
                 continue

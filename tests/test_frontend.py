@@ -151,3 +151,41 @@ def test_push_refuses_pcm_it_cannot_read_naming_its_dtype_and_shape(pcm, message
     assert str(exc.value) == message
     rest = stream.push(PCM[100:])
     assert rest.tobytes() == WHOLE["float"].tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CONFIGS)),
+    dtype=st.sampled_from(["float", "int16"]),
+    before=st.sampled_from([0, 1, 3]),
+    leftover=st.integers(0, 159),  # reduced mod hop: 160 at 16 kHz, 80 at 8 kHz
+    frames=st.sampled_from([0, 1, 2, 3, 300]),
+    slack=st.integers(0, 159),
+)
+def test_framing_a_push_of_no_one_or_many_frames_matches_one_long_push(
+    name, dtype, before, leftover, frames, slack
+):
+    """After `before` frames the buffer holds win - hop + leftover samples,
+    leftover in 0 .. hop - 1. A push of frames * hop - leftover + slack
+    samples, slack in 0 .. hop - 1, completes exactly `frames` >= 1 frames,
+    and one of up to hop - 1 - leftover samples none. One frame takes the
+    1-D calls, more the framed pass (300 span two blocks), and every frame,
+    those of the pushes after it included, has the bytes of the same frame
+    in one long push."""
+    cfg = CONFIGS[name]
+    hop, win = cfg.hop_samples, cfg.window_samples
+    leftover %= hop
+    lead = win - hop + leftover + before * hop
+    size = frames * hop - leftover + slack % hop if frames else slack % (hop - leftover)
+    pcm = _pcm(dtype, lead + size + 5 * hop)
+    stream = FeatureStream(cfg)
+    first = stream.push(pcm[:lead])
+    middle = stream.push(pcm[lead : lead + size])
+    rest = [stream.push(pcm[i : i + hop]) for i in range(lead + size, pcm.size, hop)]
+    assert first.shape == (cfg.n_mels, before)
+    assert middle.shape == (cfg.n_mels, frames)
+    whole = FeatureStream(cfg).push(pcm)
+    got = np.concatenate([first, middle, *rest], axis=1)
+    assert got.shape == whole.shape
+    for k in range(whole.shape[1]):
+        assert got[:, k].tobytes() == whole[:, k].tobytes()
