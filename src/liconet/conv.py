@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, ShapeError, is_whole
+from .errors import ConfigError, ShapeError, stride_of
 from .pipeline import LinearLayer, PipelineStage, StreamState
 from .pipeline import apply_activation_array
 from .tensor import Tensor2D
@@ -49,13 +49,12 @@ class Conv1DLayer:
         w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
         if w.ndim != 3:
             raise ShapeError(f"weights must be (out, in, kernel), got shape {w.shape}")
-        if not is_whole(self.stride) or self.stride < 1:
-            raise ConfigError(f"stride must be an integer >= 1, got {self.stride!r}")
+        stride = stride_of(self.stride, "stride")
         d, c, k = w.shape
         dense = LinearLayer(w.transpose(1, 2, 0).reshape(c * k, d), self.bias, self.activation)
         w.setflags(write=False)
         for name, value in (("weights", w), ("bias", dense.bias), ("dense", dense),
-                            ("stride", int(self.stride))):  # JSON takes no numpy number
+                            ("stride", stride)):
             object.__setattr__(self, name, value)
 
     @property

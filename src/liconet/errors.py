@@ -10,6 +10,13 @@ def is_whole(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def stride_of(value, name: str) -> int:
+    """value as an int (JSON takes no numpy number) if an integer >= 1."""
+    if not is_whole(value) or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def is_real(value) -> bool:
     """A whole number or a float, numpy's included, and not a bool."""
     return type(value) is float or is_whole(value) or isinstance(value, (float, np.floating))

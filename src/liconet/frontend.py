@@ -6,11 +6,11 @@ triangular mel filters on the HTK scale spanning 0 Hz to Nyquist, natural
 log with an additive floor. Normalization statistics are model payload;
 identity stats are the default.
 
-FeatureStream frames its samples with pipeline.windows, as every stage
-frames its columns, and transforms a push's complete frames in one pass.
-Each frame still gets its own rfft and mel-bank GEMV, so frames are
-byte-identical however the PCM is split across pushes. A frame that
-completes alone, as in a live push, takes the 1-D form of the same calls.
+FeatureStream is a one-channel pipeline stage (kernel window_samples,
+stride hop_samples) over its FrontendConfig: a push advances it by
+pipeline.py's rules for the unconsumed tail, a live step's one window and
+the MAX_PASS_STEPS pass bound. Each frame gets its own rfft and mel GEMV,
+so frames are byte-identical however the PCM is split across pushes.
 """
 
 from __future__ import annotations
@@ -21,10 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, is_real, is_whole, plain
-from .pipeline import windows
+from .pipeline import MAX_PASS_STEPS, PipelineStage, StreamState
 
-# Frames transformed in one pass; bounds the memory of a long push.
-_BLOCK_FRAMES = 256
 # Every setting but the normalization vectors.
 NUMBER_FIELDS = ("sample_rate", "window_ms", "hop_ms", "n_mels", "fmin", "fmax", "log_floor")
 
@@ -114,6 +112,23 @@ class FrontendConfig:
         bank.setflags(write=False)
         return bank
 
+    @property
+    def out_dim(self) -> int:
+        return self.n_mels
+
+    def forward(self, windows, residual=None, source=None) -> np.ndarray:
+        """FeatureStream's operator: (n_mels, n) frames of (n, window) windows; (n_mels,) of one."""
+        spectrum = np.fft.rfft(windows * self.hann, n=self.n_fft)
+        power = spectrum.real**2 + spectrum.imag**2
+        # One GEMV per frame, as a single frame gets: a GEMM would sum
+        # in another order, so frames would depend on the push size.
+        energies = np.matvec(self.mel_bank, power)
+        energies += self.log_floor
+        np.log(energies, out=energies)
+        energies -= self.norm_mean
+        energies /= self.norm_std
+        return energies.T
+
 
 def pcm_samples(samples) -> np.ndarray:
     """1-D int16 PCM / 32768 or finite float PCM as float64; refuses any other PCM."""
@@ -128,41 +143,19 @@ def pcm_samples(samples) -> np.ndarray:
     return pcm
 
 
-class FeatureStream:
-    """Incremental framing: one normalized frame per hop once a full
-    window of samples has accumulated. The emitted frames are independent
-    of how the PCM is split across push() calls.
-    """
+class FeatureStream(PipelineStage):
+    """The frontend's stage and one stream's state in it, which starts empty:
+    a normalized frame per hop once a full window of samples has accumulated."""
 
     def __init__(self, cfg: FrontendConfig):
-        self.cfg = cfg
-        self.reset()
-
-    def reset(self):
-        self._buffer = np.zeros(0)
+        super().__init__("frontend", cfg, 1, cfg.window_samples, cfg.hop_samples)
+        self.state = StreamState(np.zeros((1, 0)), self.stride)
 
     def push(self, samples) -> np.ndarray:
         """Feed 1-D int16 (divided by 32768) or finite float PCM; returns the
-        newly completed frames as (n_mels, k), transformed at most _BLOCK_FRAMES to a pass."""
-        cfg = self.cfg
-        hop, win = cfg.hop_samples, cfg.window_samples
-        buf = np.concatenate([self._buffer, pcm_samples(samples)])
-        blocks, block = [], (_BLOCK_FRAMES - 1) * hop + win  # samples of _BLOCK_FRAMES frames
-        while buf.size >= win:
-            lone = buf.size < win + hop  # a live push's one frame: the 1-D form of each call
-            rows = buf[:win] if lone else windows(buf[None, :block], win, hop)
-            spectrum = np.fft.rfft(rows * cfg.hann, n=cfg.n_fft)
-            power = spectrum.real**2 + spectrum.imag**2
-            # One GEMV per frame, as a single frame gets: a GEMM would sum
-            # in another order, so frames would depend on the push size.
-            energies = np.matvec(cfg.mel_bank, power)
-            energies += cfg.log_floor
-            np.log(energies, out=energies)
-            energies -= cfg.norm_mean
-            energies /= cfg.norm_std
-            blocks.append(energies[:, None] if lone else energies.T)
-            buf = buf[(1 if lone else len(rows)) * hop :]
-        self._buffer = buf.copy()  # not a view that keeps a long push alive
-        if len(blocks) == 1:
-            return blocks[0]
-        return np.concatenate(blocks, axis=1) if blocks else np.empty((cfg.n_mels, 0))
+        newly completed frames as (n_mels, k), at most MAX_PASS_STEPS to a pass."""
+        cols, size = pcm_samples(samples)[None], MAX_PASS_STEPS * self.stride
+        if cols.shape[1] <= size:  # less than a window of history: <= MAX_PASS_STEPS frames
+            return self.advance(self.state, cols)
+        passes = range(0, cols.shape[1], size)
+        return np.concatenate([self.advance(self.state, cols[:, i : i + size]) for i in passes], 1)

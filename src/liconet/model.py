@@ -323,5 +323,5 @@ def count_macs_per_step(net) -> int:
 class StreamingNetwork(Pipeline):
     """A network streamed as the pipeline of its stage plan."""
 
-    def __init__(self, net, first_stride: int | None = None):
-        super().__init__(stage_plan(net, first_stride))
+    def __init__(self, net):
+        super().__init__(stage_plan(net))

@@ -28,7 +28,7 @@ import numpy as np
 from .conv import Conv1DLayer
 from .decoder import DecoderConfig
 from .errors import BadMagicError, ConfigError, ManifestError, NotLinearizableError
-from .errors import TruncatedError, VersionError, is_whole
+from .errors import TruncatedError, VersionError, stride_of
 from .frontend import NUMBER_FIELDS, FrontendConfig
 from .model import LiCoNet, MlpNet, lico_block, mlp_net, receptive_field_of, stage_plan
 from .pipeline import LinearLayer, Pipeline, PipelineStage
@@ -68,10 +68,8 @@ class Model:
     stages: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        stride = self.first_stride
-        if not is_whole(stride) or stride < 1:
-            raise ConfigError(f"first stride must be an integer >= 1, got {stride!r}")
-        object.__setattr__(self, "first_stride", int(stride))  # JSON takes no numpy number
+        stride = stride_of(self.first_stride, "first stride")
+        object.__setattr__(self, "first_stride", stride)
         plan = getattr(self.net, "plan", None)
         if plan is None or plan[0].stride != stride:
             plan = stage_plan(self.net, stride)
@@ -93,12 +91,11 @@ class Model:
         return receptive_field_of(self.stages)
 
 
-def default_model(net, first_stride: int | None = None, threshold: float = 0.5) -> Model:
+def default_model(net, first_stride: int | None = None) -> Model:
     """Wrap a bare net with an identity frontend of its input width and default decoder."""
-    if first_stride is None:
-        first_stride = stage_plan(net)[0].stride
-    decoder = DecoderConfig.default(net.n_classes, first_stride, threshold)
-    return Model(net, FrontendConfig(n_mels=net.input_features), decoder, first_stride)
+    t = stage_plan(net)[0].stride if first_stride is None else first_stride
+    decoder = DecoderConfig.default(net.n_classes, stride_of(t, "first stride"))
+    return Model(net, FrontendConfig(n_mels=net.input_features), decoder, t)
 
 
 # --- manifest assembly -----------------------------------------------------

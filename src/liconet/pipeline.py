@@ -7,33 +7,33 @@ every engine of a model shares them. A StreamState holds the unconsumed
 tail of its stage's input, which on whole strides is the newest
 max(K - s, 0) columns; `reset` makes fresh ones and `copy` copies only
 them. Histories are replaced, never written in place, so copies may
-share them.
+share them, and a live step's history is a view of its own small buffer.
 
 Windows flatten channel-major, x~[c*K + k] = window[c][k]. A stage
 advances a state over new input columns by appending them to its history,
 handing every (C, K) window that a whole stride completes to its operator
-as one (n, C*K) matrix, and keeping the columns its windows did not
-consume, a partial stride included, as the next history. `windows` frames
-them, and the frontend's audio, through one strided view: a pointwise
-stage's rows are a free view of the previous operator's output and a
-kernel-K stage's rows one gather copy. `PipelineStage.advance` alone takes
-the one window of a live step: the first K columns of its (C, max(K, s))
-buffer as a unit-stride (C*K,) vector, the 1-D form of the same operator
-call. A residual adds the input of the stage that residual_from names: the
-newest input column of each window. A step feeds one first-layer stride of
-frames and emits one column per stage; `step_array` takes any whole number
-of steps in one pass. Each operator gives a window the same bits whatever
-other windows share its call, provided the window is a unit-stride row (a
-strided one is copied), so a step's logits do not depend on how many steps
-run together. Priming is an empty start: each stage starts with no history
-and steps over the prefix like any input, so a following step picks up
-exactly where a batch pass over the prefix would. Calibration reads each
-stage's output from the same loop.
+as one (n, C*K) matrix (framed by `windows`), and keeping the columns its
+windows did not consume, a partial stride included, as the next history;
+input that completes no window is kept whole, and no operator is called.
+`PipelineStage.advance` alone takes the one window of a live step: the
+first K columns of its (C, max(K, s)) buffer as a unit-stride (C*K,)
+vector, the 1-D form of the same operator call. A residual adds the input
+of the stage that residual_from names: the newest input column of each
+window. A step feeds one first-layer stride of frames and emits one column
+per stage; `step_array` takes any whole number of steps in one pass. Each
+operator gives a window the same bits whatever other windows share its
+call, provided the window is a unit-stride row (a strided one is copied),
+so a step's logits do not depend on how many steps run together. Priming
+is an empty start: each stage starts with no history and steps over the
+prefix like any input, so a following step picks up exactly where a batch
+pass over the prefix would. Calibration reads each stage's output from
+the same loop.
 
-An operator (a DenseOperator) supplies the arithmetic: `LinearLayer` in
-float64 and `quantize.QuantizedLinearLayer` in int8, whose columns hold
-codes minus their zero point; both stream float64 columns in which 0 is
-a zero column, so a fresh stream's history is zeros.
+An operator is anything with `forward(windows, residual, source)` and
+`out_dim`: `LinearLayer` in float64, `quantize.QuantizedLinearLayer` in
+int8, whose columns hold codes minus their zero point (both stream float64
+columns in which 0 is a zero column, so a fresh history is zeros), and
+FrontendConfig, the log-mel transform of frontend.FeatureStream's stage.
 """
 
 from __future__ import annotations
@@ -176,7 +176,8 @@ class PipelineStage:
     """Geometry, operator and residual wiring of one stage of a plan.
 
     A stage whose residual_from names an earlier stage adds that stage's
-    input, the newest input column of each window, to its output.
+    input, the newest input column of each window, to its output. Input
+    that completes no window, such as a short push, calls no operator.
     """
 
     name: str
@@ -201,17 +202,20 @@ class PipelineStage:
         return StreamState(np.zeros((self.channels, self.history_len)), chunk_size)
 
     def advance(self, state: StreamState, cols, residual=None, source=None) -> np.ndarray:
-        """One output column per window of [history || cols], plus the newest
-        columns of residual; after n windows the history is the tail from n*s."""
+        """One output column per window of [history || cols], (out_dim, 0) if none, plus
+        the newest columns of residual; after n windows the history is the tail from n*s."""
         k, s, h = self.kernel, self.stride, state.history.shape[1]
         buf = np.concatenate([state.history, cols], axis=1) if h else cols
         t = buf.shape[1]
         span = k if k > s else s
-        lone = span <= t < span + s  # a live step: its one window as a unit-stride vector
+        if t < span:  # no window completes: keep every column, call no operator
+            state.history = buf if h else buf.copy()
+            return np.empty((self.op.out_dim, 0))
+        lone = t < span + s  # a live step: its one window as a unit-stride vector
         win = buf[:, :k].ravel() if lone else windows(buf, k, s)
         n = 1 if lone else len(win)
-        if h or n * s < t:
-            state.history = buf[:, n * s :].copy()
+        if h or n * s < t:  # a pass copies its tail, so as not to keep a long input alive
+            state.history = buf[:, n * s :] if lone and h else buf[:, n * s :].copy()
         if residual is not None:
             residual = residual[:, -1] if lone else residual[:, residual.shape[1] - n :]
         out = self.op.forward(win, residual, source)

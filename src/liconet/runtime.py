@@ -66,13 +66,13 @@ def read_wav(path, expected_rate: int = 16000) -> np.ndarray:
     return np.frombuffer(data, dtype="<i2").astype(np.int16)
 
 
-def write_wav(path, samples: np.ndarray, rate: int = 16000) -> None:
-    """Write int16 mono PCM, clipping float to [-1, 1); refuses what FeatureStream.push refuses."""
+def write_wav(path, samples: np.ndarray) -> None:
+    """Write 16 kHz int16 mono PCM, clipping float to [-1, 1); refuses what push refuses."""
     arr = np.clip(np.round(pcm_samples(samples) * 32768.0), -32768, 32767).astype(np.int16)
     with wave.open(str(path), "wb") as w:
         w.setnchannels(1)
         w.setsampwidth(2)
-        w.setframerate(rate)
+        w.setframerate(16000)
         w.writeframes(arr.astype("<i2").tobytes())
 
 

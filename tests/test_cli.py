@@ -394,3 +394,17 @@ def test_init_writes_the_golden_file_of_every_preset(tmp_path, arch, preset, str
     assert cli_main(argv + ["--out", str(path)]) == 0
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == INIT_SHA256[arch, preset, stride]
+
+
+@pytest.mark.parametrize(
+    "arch, message",
+    [("mlp", "first stride must be an integer >= 1, got 0"),
+     ("lico", "stride must be an integer >= 1, got 0")],  # refused by the first conv
+)
+def test_init_at_stride_0_exits_1_with_one_error_line(tmp_path, capsys, arch, message):
+    path = tmp_path / "model.lcn"
+    argv = ["init", "--arch", arch, "--preset", "small", "--stride", "0", "--out", str(path)]
+    assert cli_main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: {message}\n"
+    assert out == "" and not path.exists()

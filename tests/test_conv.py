@@ -115,6 +115,13 @@ class TestStreamStep:
         with pytest.raises(ShapeError):
             stream_step(l, st, Tensor2D([1.0]))
 
+    def test_chunk_channel_mismatch(self):
+        l = layer([[[1.0, 1.0], [1.0, 1.0]]])
+        st = stream_state_init(l, 1)
+        with pytest.raises(ShapeError, match="chunk has 1 channels, layer expects 2"):
+            stream_step(l, st, Tensor2D([1.0]))
+        assert st.history.tobytes() == np.zeros((2, 1)).tobytes()
+
     def test_output_frames_per_step(self):
         rng = np.random.default_rng(4)
         l = layer(rng.normal(size=(3, 2, 5)), rng.normal(size=3), stride=2)

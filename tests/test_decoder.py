@@ -201,3 +201,15 @@ def test_decoder_config_rejects_bools_where_it_needs_numbers(args):
     DecoderConfig(4, 1, (2,), 0.5)
     with pytest.raises(ConfigError):
         DecoderConfig(*args)
+
+
+def test_frames_of_a_one_step_frame_is_that_frame():
+    """A (C,) frame is already one step: frames() lists it as it is, and a
+    (1, C) block lists one frame over its row with the same bits."""
+    probs = [0.25, 0.75]
+    one = PosteriorFrame(7, probs)
+    [same] = one.frames()
+    assert same is one
+    [row] = PosteriorFrame(7, [probs]).frames()
+    assert row.timestamp == 7 and row.probs.tobytes() == one.probs.tobytes()
+    assert not row.probs.flags.writeable

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from liconet.errors import InvalidInputError
 from liconet.frontend import FeatureStream, FrontendConfig
+from liconet.pipeline import MAX_PASS_STEPS
 from reference import htk_mel_centers, logmel_frames_loops
 
 CFG = FrontendConfig()
@@ -189,3 +190,54 @@ def test_framing_a_push_of_no_one_or_many_frames_matches_one_long_push(
     assert got.shape == whole.shape
     for k in range(whole.shape[1]):
         assert got[:, k].tobytes() == whole[:, k].tobytes()
+
+
+def _counting_forward(monkeypatch):
+    """Record the window count of every transform FrontendConfig runs."""
+    calls, forward = [], FrontendConfig.forward
+
+    def counted(cfg, windows, residual=None, source=None):
+        calls.append(1 if windows.ndim == 1 else len(windows))
+        return forward(cfg, windows, residual, source)
+
+    monkeypatch.setattr(FrontendConfig, "forward", counted)
+    return calls
+
+
+def test_the_stream_is_a_one_channel_stage_over_its_config():
+    """The config is the stage's operator, so a stream holds no reference
+    to itself; its state starts empty, not on zero samples."""
+    stream = FeatureStream(CFG)
+    geometry = (stream.channels, stream.kernel, stream.stride, stream.residual_from)
+    assert stream.op is CFG and geometry == (1, CFG.window_samples, CFG.hop_samples, None)
+    assert stream.state.history.shape == (1, 0)
+    assert stream.push(PCM).tobytes() == WHOLE["float"].tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["float", "int16"])
+def test_a_push_that_completes_no_frame_runs_no_transform(monkeypatch, dtype):
+    """5 ms pushes complete a frame every other push from the third on;
+    the others return an empty block without calling the transform."""
+    calls = _counting_forward(monkeypatch)
+    pcm = _pcm(dtype, 16000)
+    stream = FeatureStream(CFG)
+    blocks = [stream.push(pcm[i : i + 80]) for i in range(0, pcm.size, 80)]
+    widths = [b.shape[1] for b in blocks]
+    assert widths[:5] == [0, 0, 0, 0, 1] and sum(widths) == len(calls) == 98
+    assert all(b.shape == (CFG.n_mels, w) for b, w in zip(blocks, widths))
+    assert np.concatenate(blocks, axis=1).tobytes() == logmel_frames_loops(pcm, CFG).tobytes()
+
+
+@pytest.mark.parametrize("size", [0, 80, 160, 400, 16000, 48000])
+def test_a_push_transforms_at_most_max_pass_steps_frames_per_call(monkeypatch, size):
+    """After 100 samples of history, a push of `size` samples is
+    transformed in passes of at most MAX_PASS_STEPS frames, each frame once."""
+    calls = _counting_forward(monkeypatch)
+    pcm = _pcm("float", 100 + size)
+    stream = FeatureStream(CFG)
+    stream.push(pcm[:100])
+    frames = stream.push(pcm[100:])
+    want = logmel_frames_loops(pcm, CFG) if size else np.empty((CFG.n_mels, 0))
+    assert frames.tobytes() == want.tobytes() and frames.shape == want.shape
+    assert sum(calls) == want.shape[1] and max(calls, default=0) <= MAX_PASS_STEPS
+    assert len(calls) == -(-want.shape[1] // MAX_PASS_STEPS)

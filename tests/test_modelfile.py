@@ -509,3 +509,16 @@ def test_a_first_stride_that_conflicts_with_the_first_layer_is_refused(tmp_path)
         load_model(path)
     with pytest.raises(ConfigError, match="conflicts with first-layer stride 1"):
         default_model(build_lico_net(3, 2, 3, 2, 3, 1, 3, seed=8), first_stride=3)
+
+
+@pytest.mark.parametrize("stride", [0, 1.5, 2.0])
+@pytest.mark.parametrize("arch", ["lico", "mlp"])
+def test_default_model_refuses_a_bad_stride_before_dividing_by_it(arch, stride):
+    """The decoder's lengths are divided by the stride, so the stride is
+    checked first, by the check Model runs: stride 0 is no ZeroDivisionError
+    and 1.5 no complaint about decoder lengths."""
+    net = build_lico_net(3, 1, 4, 2, 3, 1, 3, seed=0) if arch == "lico" else build_mlp(
+        4, 3, 5, 4, 3, seed=9)
+    with pytest.raises(ConfigError) as exc:
+        default_model(net, first_stride=stride)
+    assert str(exc.value) == f"first stride must be an integer >= 1, got {stride!r}"

@@ -515,3 +515,56 @@ def test_framing_leaves_a_partial_stride_in_the_history():
         assert np.concatenate(parts, axis=1).tobytes() == out.tobytes()
         for a, b in zip(whole.states, split.states):
             assert a.history.tobytes() == b.history.tobytes()
+
+
+class _Untouchable:
+    """An operator of out_dim 3 that must not be called."""
+
+    out_dim = 3
+
+    def forward(self, windows, residual=None, source=None):
+        raise AssertionError("the operator ran on input that completes no window")
+
+
+@pytest.mark.parametrize("k, s", [(4, 1), (2, 3), (5, 2)])
+def test_advance_over_input_that_completes_no_window_calls_no_operator(k, s):
+    """Each call holds fewer than max(K, s) columns in all: it gives an
+    (out_dim, 0) block and keeps every column, in order, as the history,
+    never the caller's array itself."""
+    stage = PipelineStage("probe", _Untouchable(), 2, k, s)
+    state = stage.fresh_state(s)
+    state.history = np.zeros((2, 0))
+    cols = np.arange(2.0 * (max(k, s) - 1)).reshape(2, -1)
+    seen = []
+    for j in range(cols.shape[1] + 1):
+        piece = cols[:, j : j + 1]
+        out = stage.advance(state, piece)
+        assert out.shape == (3, 0)
+        seen.append(piece)
+        want = np.concatenate(seen, axis=1)
+        assert state.history.tobytes() == want.tobytes() and state.history.shape == want.shape
+        assert not np.shares_memory(state.history, cols)
+
+
+@pytest.mark.parametrize("k, s", [(5, 3), (2, 3), (4, 1), (1, 1)])
+def test_a_state_never_keeps_the_callers_columns(k, s):
+    """A live step may keep a view of the buffer it built, never of the
+    columns it was handed, also when they end mid-stride: writing to them
+    afterwards changes no output."""
+    rng = np.random.default_rng(k * 10 + s)
+    op = LinearLayer(rng.normal(size=(2 * k, 3)), rng.normal(size=3))
+    x = rng.normal(size=(2, 12 * s))
+    stages = [PipelineStage("probe", op, 2, k, s) for _ in range(2)]
+    states = [st.fresh_state(s) for st in stages]
+    for state in states:
+        state.history = np.zeros((2, 0))  # so the first call's buffer is the caller's columns
+    outs = {0: [], 1: []}
+    cuts = np.cumsum([s + 1, s, max(s - 1, 1), s, 2 * s])  # then one pass of the rest
+    for chunk in np.split(x, cuts, axis=1):
+        for j, (st, state) in enumerate(zip(stages, states)):
+            cols = chunk.copy()
+            outs[j].append(st.advance(state, cols))
+            if j:
+                cols[:] = np.nan
+            assert not np.shares_memory(state.history, cols)
+    assert np.concatenate(outs[1], axis=1).tobytes() == np.concatenate(outs[0], axis=1).tobytes()

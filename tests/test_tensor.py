@@ -79,6 +79,23 @@ class TestQuantizeDequantize:
         with pytest.raises(InvalidInputError):
             QuantTensor([[200]], QuantParams(1.0, 0))
 
+    def test_quant_tensor_takes_1d_input_as_one_channel(self):
+        q = QuantTensor(np.array([1, -2, 3], dtype=np.int16), QuantParams(0.5, 1))
+        assert (q.channels, q.frames) == (1, 3)
+        assert q.data.dtype == np.int8 and q.data.tolist() == [[1, -2, 3]]
+        assert not q.data.flags.writeable
+        assert q.params == QuantParams(0.5, 1)
+
+    def test_quant_tensor_reports_channels_and_frames(self):
+        q = QuantTensor(np.zeros((4, 7), dtype=np.int8), QuantParams(1.0, 0))
+        assert (q.channels, q.frames) == (4, 7)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (0, 5)])
+    def test_quant_tensor_refuses_what_is_not_channels_by_frames(self, shape):
+        with pytest.raises(ShapeError) as exc:
+            QuantTensor(np.zeros(shape, dtype=np.int8), QuantParams(1.0, 0))
+        assert str(exc.value) == f"expected channels x frames, got shape {shape}"
+
 
 class TestChooseQuantParams:
     def test_symmetric(self):
