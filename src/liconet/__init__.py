@@ -4,14 +4,7 @@ or int8, post-training quantization, a log-mel frontend, and a
 sliding-window keyword decoder.
 """
 
-from .conv import (
-    Conv1DLayer,
-    StreamState,
-    apply_activation,
-    conv1d_forward,
-    stream_state_init,
-    stream_step,
-)
+from .conv import Conv1DLayer, StreamState
 from .decoder import (
     DecoderConfig,
     DetectionEvent,
@@ -39,8 +32,6 @@ from .model import (
     LiCoNet,
     LinearLayer,
     MlpNet,
-    StreamingNetwork,
-    bias_count,
     build_lico_block,
     build_lico_net,
     build_mlp,
@@ -59,13 +50,6 @@ from .quantize import (
     quantize_network,
 )
 from .runtime import StepResult, make_engine, read_wav, run_stream, write_wav
-from .tensor import (
-    QuantParams,
-    QuantTensor,
-    Tensor2D,
-    choose_quant_params,
-    dequantize_affine,
-    quantize_affine,
-)
+from .tensor import QuantParams, Tensor2D, choose_quant_params
 
 __version__ = "0.1.0"

@@ -1,6 +1,5 @@
-"""Reference and streaming 1D convolution.
-
-The batch form computes, for weights of shape (D, C, K) and stride s,
+"""Reference and streaming 1D convolution; no other module relates a conv's
+(D, C, K) weights to its dense operator. The batch form computes, at stride s,
 
     Y[d, i] = sum_c sum_k W[d, c, k] * X[c, s*i + k] + bias[d]
 
@@ -70,28 +69,35 @@ class Conv1DLayer:
         return self.weights.shape[2]
 
 
+def pointwise(dense: np.ndarray, bias) -> Conv1DLayer:
+    """The kernel-1 layer whose dense operator holds the (C, D) weights dense."""
+    return Conv1DLayer(dense.T[..., np.newaxis], bias)
+
+
 def conv_stage(name: str, layer: Conv1DLayer, residual_from=None):
     """The layer as one pipeline stage."""
     return PipelineStage(name, layer.dense, layer.in_channels, layer.kernel,
                          layer.stride, residual_from)
 
 
-def conv_valid(x: np.ndarray, weights: np.ndarray, bias, stride: int, activation: str):
-    """Batch convolution of a raw (C, T) array by weights (D, C, K), T >= K."""
+def conv_valid(x: np.ndarray, stage: PipelineStage) -> np.ndarray:
+    """Batch convolution of a raw (C, T) array by a stage, T >= K: its
+    dense (C*K, D) weights read as a (C, K, D) view, Wd[c, k, d] = W[d, c, k]."""
     c, t = x.shape
-    k = weights.shape[2]
-    if c != weights.shape[1]:
-        raise ShapeError(f"input has {c} channels, layer expects {weights.shape[1]}")
+    op, k = stage.op, stage.kernel
+    if c != stage.channels:
+        raise ShapeError(f"input has {c} channels, layer expects {stage.channels}")
     if t < k:
         raise ShapeError(f"input has {t} frames, kernel needs at least {k}")
-    windows = sliding_window_view(x, k, axis=1)[:, ::stride, :]  # (C, n, K)
-    out = np.einsum("dck,cnk->dn", weights, windows) + bias[:, np.newaxis]
-    return apply_activation_array(out, activation)
+    windows = sliding_window_view(x, k, axis=1)[:, :: stage.stride, :]  # (C, n, K)
+    weights = op.weights.reshape(c, k, op.out_dim)
+    out = np.einsum("ckd,cnk->dn", weights, windows) + op.bias[:, np.newaxis]
+    return apply_activation_array(out, op.activation)
 
 
 def conv1d_forward(x: Tensor2D, layer: Conv1DLayer) -> Tensor2D:
     """Non-streaming convolution; output shape (D, floor((T-K)/s) + 1)."""
-    return Tensor2D(conv_valid(x.data, layer.weights, layer.bias, layer.stride, layer.activation))
+    return Tensor2D(conv_valid(x.data, conv_stage("conv", layer)))
 
 
 def stream_state_init(layer: Conv1DLayer, t: int) -> StreamState:

@@ -21,7 +21,7 @@ def check_linearizable(net, t: int) -> LinearizabilityReport:
     """
     if not is_whole(t) or t < 1:
         why = f"chunk size must be a positive integer, got {t}"
-        return LinearizabilityReport([("chunk", why)])
+        return LinearizabilityReport((("chunk", why),))
     if isinstance(net, MlpNet):
         return LinearizabilityReport()
     return check_stages(stage_plan(net), t)

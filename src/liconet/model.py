@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conv import Conv1DLayer, conv_stage, conv_valid
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, is_whole
 from .pipeline import LinearLayer, Pipeline, PipelineStage, check_geometry, linear_plan
 from .pipeline import receptive_field_of
 from .tensor import Tensor2D
@@ -245,7 +245,7 @@ def stage_plan(net, first_stride: int | None = None) -> list:
         stages.append(conv_stage("classifier", net.classifier))
     elif isinstance(net, MlpNet):
         stride = 1 if first_stride is None else first_stride
-        if stride < 1:
+        if not is_whole(stride) or stride < 1:
             raise ConfigError(f"stride must be >= 1, got {stride}")
         first, *rest = net.hidden + (net.classifier,)
         names = [f"layer{i}" for i in range(2, len(net.hidden) + 1)] + ["classifier"]
@@ -286,14 +286,13 @@ def network_forward(net, x: Tensor2D, first_stride: int | None = None) -> Tensor
     if x.frames < rf:
         raise ShapeError(f"input has {x.frames} frames, receptive field needs {rf}")
     stepped = x.frames - (x.frames - rf) % stages[0].stride
-    # Each stage as a strided valid convolution over the whole input.
+    # Each stage as a strided valid convolution over the whole input; conv_valid
+    # reads the stage's dense operator as conv weights.
     y = x.data[:, :stepped]
     inputs = []
     for st in stages:
         inputs.append(y)
-        op = st.op
-        w = op.weights.reshape(st.channels, st.kernel, op.out_dim).transpose(2, 0, 1)
-        y = conv_valid(y, w, op.bias, st.stride, op.activation)
+        y = conv_valid(y, st)
         if st.residual_from is not None:  # the newest input column of each window
             src = inputs[st.residual_from]
             y = y + src[:, src.shape[1] - y.shape[1] :]

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conv import Conv1DLayer
+from .conv import pointwise
 from .decoder import DecoderConfig
 from .errors import BadMagicError, ConfigError, ManifestError, NotLinearizableError
 from .errors import TruncatedError, VersionError, stride_of
@@ -135,12 +135,12 @@ def _collect(model: Model):
         if qfields:
             arch["input_params"] = vars(stages[0].op.in_params)
             arch["classifier"] = {"activation": cls.op.activation, **qparams(cls.op)}
-    # Each tensor is named after its stage; a LiCo block conv is stored (D, C, K).
+    # Each tensor is named after its stage. A LiCo block conv is stored as
+    # its own (D, C, K) weights, and every other stage as its dense operator.
+    convs = [c.weights for b in net.blocks for c in b.layers] if kind == "lico" else []
     tensors = []
-    for st in stages:
-        w = st.op.weights
-        if kind == "lico" and st is not stages[-1]:
-            w = w.reshape(st.channels, st.kernel, -1).transpose(2, 0, 1)
+    for i, st in enumerate(stages):
+        w = convs[i] if i < len(convs) else st.op.weights
         tensors.append((f"{st.name}.weight", w, dtypes[0]))
         tensors.append((f"{st.name}.bias", st.op.bias, dtypes[1]))
     fe = model.frontend
@@ -213,8 +213,8 @@ def _rebuild_net(manifest, tensors):
                        spec["residual"])
             for i, spec in enumerate(arch["blocks"], start=1)
         ]
-        w, b = pair("classifier")  # stored dense, (C, D)
-        return LiCoNet(arch["input_features"], tuple(blocks), Conv1DLayer(w.T[..., None], b))
+        classifier = pointwise(*pair("classifier"))  # stored as its dense operator
+        return LiCoNet(arch["input_features"], tuple(blocks), classifier)
     if kind == "mlp":
         names = [f"layer{i}" for i in range(1, len(arch["hidden"]) + 1)] + ["classifier"]
         return mlp_net(arch["input_frames"], arch["input_features"], [pair(n) for n in names])

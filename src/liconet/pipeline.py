@@ -258,9 +258,6 @@ class LinearizabilityReport:
 
     violations: tuple = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "violations", tuple(self.violations))
-
     @property
     def compliant(self) -> bool:
         return not self.violations
@@ -269,10 +266,10 @@ class LinearizabilityReport:
 def check_stages(stages, t: int) -> LinearizabilityReport:
     """The gate on a stage plan: first stride t, every later stride 1."""
     first, *later = stages
-    violations = [] if first.stride == t else [
-        (first.name, f"first layer stride {first.stride} != chunk size {t}")
-    ]
-    violations += [(st.name, f"stride {st.stride} != 1") for st in later if st.stride != 1]
+    violations = () if first.stride == t else (
+        (first.name, f"first layer stride {first.stride} != chunk size {t}"),
+    )
+    violations += tuple((st.name, f"stride {st.stride} != 1") for st in later if st.stride != 1)
     return LinearizabilityReport(violations)
 
 

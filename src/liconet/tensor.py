@@ -61,9 +61,6 @@ class Tensor2D:
     def zeros(cls, channels: int, frames: int) -> "Tensor2D":
         return cls(np.zeros((channels, frames)))
 
-    def __repr__(self):
-        return f"Tensor2D(channels={self.channels}, frames={self.frames})"
-
 
 @dataclass(frozen=True)
 class QuantParams:

@@ -18,6 +18,7 @@ from liconet.model import (
     count_params,
     network_forward,
     receptive_field,
+    stage_plan,
 )
 from liconet.tensor import Tensor2D
 
@@ -320,3 +321,10 @@ def test_receptive_field_matches_brute_force_with_later_strides():
         rf = receptive_field(net)
         assert rf == smallest_valid_input(lambda a: _conv_chain(net, a), c)
         assert network_forward(net, Tensor2D(np.zeros((c, rf)))).data.shape[1] == 1
+
+
+
+def test_a_numpy_integer_mlp_stride_is_taken_as_an_int():
+    plan = stage_plan(build_mlp(4, 3, 5, 4, 3, seed=9), np.int64(2))
+    assert [st.stride for st in plan] == [2, 1, 1]
+    assert all(type(st.stride) is int for st in plan)

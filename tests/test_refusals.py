@@ -14,6 +14,7 @@ from liconet.errors import CalibrationError, ConfigError, InvalidInputError, Man
 from liconet.errors import ShapeError
 from liconet.linearize import linearize_network
 from liconet.model import build_lico_block, build_lico_net, build_mlp, network_forward, stage_plan
+from liconet.model import receptive_field
 from liconet.modelfile import default_model, load_model, save_model
 from liconet.pipeline import LinearLayer, PipelineStage, check_geometry
 from liconet.quantize import QuantizedLinearLayer, calibrate_activations, quantize_network
@@ -106,6 +107,18 @@ CASES = {
     "mode-log": (lambda _: choose_quant_params(0, 1, "log"), InvalidInputError, "'log'"),
 }
 
+# An MLP stride that is no whole number is refused by the stage plan, through
+# every call that reaches it, with the message of stride 0.
+_STRIDE_CALLS = {
+    "plan": stage_plan,
+    "field": receptive_field,
+    "forward": lambda net, s: network_forward(net, Tensor2D(np.zeros((3, 8))), s),
+}
+for _name, _call in _STRIDE_CALLS.items():
+    for _label, _stride in (("1.5", 1.5), ("true", True), ("numpy-2.0", np.float64(2.0))):
+        CASES[f"mlp-{_name}-stride-{_label}"] = (
+            lambda _, c=_call, s=_stride: c(_mlp(), s), ConfigError, "stride must be >= 1"
+        )
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_refuses(tmp_path, case):
