@@ -323,7 +323,6 @@ def test_receptive_field_matches_brute_force_with_later_strides():
         assert network_forward(net, Tensor2D(np.zeros((c, rf)))).data.shape[1] == 1
 
 
-
 def test_a_numpy_integer_mlp_stride_is_taken_as_an_int():
     plan = stage_plan(build_mlp(4, 3, 5, 4, 3, seed=9), np.int64(2))
     assert [st.stride for st in plan] == [2, 1, 1]

@@ -120,6 +120,7 @@ for _name, _call in _STRIDE_CALLS.items():
             lambda _, c=_call, s=_stride: c(_mlp(), s), ConfigError, "stride must be >= 1"
         )
 
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_refuses(tmp_path, case):
     call, error, fragment = CASES[case]
