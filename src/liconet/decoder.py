@@ -173,9 +173,13 @@ class KeywordDecoder:
         return smoothed.frames()[0], scores[0], events[0] if events else None
 
     def _block(self, t0: int, probs: np.ndarray):
-        n, s, w = len(probs), self.cfg.smooth_steps, self.cfg.window_steps
+        (n, c), s, w = probs.shape, self.cfg.smooth_steps, self.cfg.window_steps
         if self._raw is None:
-            self._raw = np.zeros((probs.shape[1], s - 1))
+            if c <= (top := max(self.cfg.keyword_ids)):
+                raise InvalidInputError(f"a frame of {c} classes, keyword ids need {top + 1}")
+            self._raw = np.zeros((c, s - 1))
+        elif c != len(self._raw):
+            raise InvalidInputError(f"a frame of {c} classes, the stream has {len(self._raw)}")
         # A step's smoothed row sums its s newest posteriors, one contiguous
         # run of columns, over how many of them are real.
         raw = np.concatenate((self._raw, probs.T), axis=1)

@@ -11,6 +11,8 @@ stride hop_samples) over its FrontendConfig: a push advances it by
 pipeline.py's rules for the unconsumed tail, a live step's one window and
 the MAX_PASS_STEPS pass bound. Each frame gets its own rfft and mel GEMV,
 so frames are byte-identical however the PCM is split across pushes.
+FrontendConfig refuses a hop that rounds to under one sample, as a stage
+must stride at least one column.
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ class FrontendConfig:
             raise ConfigError("sample rate, window, and hop must be positive")
         if self.hop_ms > self.window_ms:
             raise ConfigError("hop must not exceed the window")
+        if self.hop_samples < 1:  # the window, no shorter, then has a sample too
+            raise ConfigError(f"hop {self.hop_ms} ms is under one sample at {self.sample_rate} Hz")
         if self.n_mels < 1:
             raise ConfigError("need at least one mel band")
         if not 0 <= self.fmin < self.fmax:

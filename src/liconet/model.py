@@ -231,10 +231,12 @@ def build_mlp(input_frames, input_features, h1, h2, n_classes, seed) -> MlpNet:
 def stage_plan(net, first_stride: int | None = None) -> list:
     """The network as pipeline stages in order, classifier last.
 
-    first_stride sets an MLP's first-layer stride (default 1); for a LiCo
-    net or a pipeline it must match the stride the network has. A
+    first_stride, a whole number >= 1, sets an MLP's first-layer stride
+    (default 1); a LiCo net or a pipeline must have it already. A
     pipeline's stages are returned as they are: they hold no stream state.
     """
+    if first_stride is not None and not (is_whole(first_stride) and first_stride >= 1):
+        raise ConfigError(f"stride must be >= 1, got {first_stride}")
     if isinstance(net, LiCoNet):
         stages = []
         for b, blk in enumerate(net.blocks, start=1):
@@ -245,8 +247,6 @@ def stage_plan(net, first_stride: int | None = None) -> list:
         stages.append(conv_stage("classifier", net.classifier))
     elif isinstance(net, MlpNet):
         stride = 1 if first_stride is None else first_stride
-        if not is_whole(stride) or stride < 1:
-            raise ConfigError(f"stride must be >= 1, got {stride}")
         first, *rest = net.hidden + (net.classifier,)
         names = [f"layer{i}" for i in range(2, len(net.hidden) + 1)] + ["classifier"]
         stages = [PipelineStage("layer1", first, net.input_features, net.input_frames, stride)]

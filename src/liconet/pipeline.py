@@ -3,10 +3,11 @@ dense operator over windows of its input columns, and one StreamState per
 stage for the stream that runs through it.
 
 Stages hold only a name, an operator, geometry and residual wiring, so
-every engine of a model shares them. A StreamState holds the unconsumed
-tail of its stage's input, which on whole strides is the newest
-max(K - s, 0) columns; `reset` makes fresh ones and `copy` copies only
-them. Histories are replaced, never written in place, so copies may
+every engine of a model shares them; `PipelineStage` checks a stage's own
+geometry, `check_geometry` how a plan's stages chain. A StreamState holds
+the unconsumed tail of its stage's input, which on whole strides is the
+newest max(K - s, 0) columns; `reset` makes fresh ones and `copy` copies
+only them. Histories are replaced, never written in place, so copies may
 share them, and a live step's history is a view of its own small buffer.
 
 Windows flatten channel-major, x~[c*K + k] = window[c][k]. A stage
@@ -188,10 +189,10 @@ class PipelineStage:
     residual_from: int | None = None
 
     def __post_init__(self):
-        geometry = (self.channels, self.kernel, self.stride)
-        if not all(map(is_whole, geometry)):
-            raise ShapeError(f"{self.name}: channels, kernel, stride {geometry} must be integers")
-        self.channels, self.kernel, self.stride = map(int, geometry)
+        g = (self.channels, self.kernel, self.stride)
+        if not (all(map(is_whole, g)) and min(g) >= 1):
+            raise ShapeError(f"{self.name}: channels, kernel, stride {g} must be integers >= 1")
+        self.channels, self.kernel, self.stride = map(int, g)
 
     @property
     def history_len(self) -> int:
@@ -223,14 +224,13 @@ class PipelineStage:
 
 
 def check_geometry(stages) -> None:
-    """Check that a plan's stages chain at any strides: each takes the
-    channels the one before gives, and each residual is wired as a block's."""
+    """Check the rules of a chain, at any strides: each stage takes the
+    channels the one before gives, its operator C * K inputs, and each
+    residual is wired as a block's. `PipelineStage` checks a stage's own."""
     if not stages:
         raise ShapeError("a pipeline needs at least one stage")
     width = stages[0].channels
     for j, st in enumerate(stages):
-        if st.kernel < 1 or st.stride < 1:
-            raise ShapeError(f"{st.name}: kernel {st.kernel}, stride {st.stride} must be positive")
         if st.channels != width:
             raise ShapeError(f"{st.name} takes {st.channels} channels, its input has {width}")
         if st.op.in_dim != st.channels * st.kernel:
@@ -333,14 +333,18 @@ class Pipeline:
                 cols.append(st.advance(state, cols[-1], cols[r], self.stages[r].op))
         return cols[1:]
 
+    def _check_frames(self, frames: np.ndarray, lead: int, least: int) -> None:
+        """Refuse frames not shaped (input_features, lead + k * chunk_size), k >= least."""
+        t, c, shape = self.chunk_size, self.input_features, frames.shape
+        n = shape[1] - lead if len(shape) == 2 else -1
+        if n < least * t or n % t or shape[0] != c:
+            raise ShapeError(f"frames shape {shape} != ({c}, {lead} + k * {t}), k >= {least}")
+
     def step_array(self, frames: np.ndarray) -> np.ndarray:
         """Steps on (input_features, n * chunk_size) frames, n >= 1; one
         column of logits per step, with the same bits however many steps
         share the call."""
-        t = self.chunk_size
-        shape = frames.shape
-        if len(shape) != 2 or shape[0] != self.input_features or shape[1] < t or shape[1] % t:
-            raise ShapeError(f"frames shape {shape} != ({self.input_features}, n * {t}), n >= 1")
+        self._check_frames(frames, 0, 1)
         return self.stages[-1].op.decode(self.run(frames)[-1])
 
     def prime_array(self, prefix: np.ndarray):
@@ -351,12 +355,7 @@ class Pipeline:
         leaves each stage its max(K - s, 0) columns on the stride grid;
         with k = 0 the first following step has a fully real context.
         """
-        t = self.chunk_size
-        lead = receptive_field_of(self.stages) - t
-        shape = prefix.shape
-        on_grid = len(shape) == 2 and shape[1] >= lead and (shape[1] - lead) % t == 0
-        if not on_grid or shape[0] != self.input_features:
-            raise ShapeError(f"prefix shape {shape} != ({self.input_features}, {lead} + k * {t})")
+        self._check_frames(prefix, receptive_field_of(self.stages) - self.chunk_size, 0)
         self.states = [StreamState(np.zeros((st.channels, 0)), st.stride) for st in self.stages]
         self.run(prefix)
 

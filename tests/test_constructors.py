@@ -10,6 +10,7 @@ from liconet.errors import ConfigError, InvalidInputError, ShapeError
 from liconet.frontend import FrontendConfig
 from liconet.linearize import check_linearizable
 from liconet.model import LiCoBlock, LiCoNet, MlpNet, build_lico_block, build_lico_net, build_mlp
+from liconet.model import stage_plan
 from liconet.pipeline import LinearLayer, Pipeline, PipelineStage
 from liconet.tensor import QuantParams
 
@@ -107,6 +108,10 @@ def _op():
 BOOL_CASES = {
     "conv-stride": (lambda: _conv(stride=True), ConfigError),
     "stage-kernel": (lambda: PipelineStage("s", _op(), 2, True, 1), ShapeError),
+    # A stride-1 net, whose stride True equals.
+    "lico-plan-stride": (
+        lambda: stage_plan(build_lico_net(4, 1, 4, 2, 3, 1, 3, seed=0), True), ConfigError
+    ),
     # A call written when captures_input was the sixth field of a stage.
     "stage-residual-from": (
         lambda: Pipeline([PipelineStage("a", _op(), 2, 1, 1),

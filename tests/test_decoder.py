@@ -213,3 +213,15 @@ def test_frames_of_a_one_step_frame_is_that_frame():
     [row] = PosteriorFrame(7, [probs]).frames()
     assert row.timestamp == 7 and row.probs.tobytes() == one.probs.tobytes()
     assert not row.probs.flags.writeable
+
+
+def test_reset_takes_a_new_class_count():
+    """A stream keeps the class count of its first frame; after reset the
+    next frame sets it again."""
+    decoder = KeywordDecoder(DecoderConfig(3, 2, (2,)))
+    decoder.update(PosteriorFrame(0, [0.25, 0.25, 0.5]))
+    with pytest.raises(InvalidInputError, match="a frame of 4 classes, the stream has 3"):
+        decoder.update(PosteriorFrame(1, [0.25] * 4))
+    decoder.reset()
+    _, scores, _ = decoder.update(PosteriorFrame(0, [[0.1, 0.1, 0.6, 0.2]] * 3))
+    assert scores == pytest.approx([0.6] * 3)

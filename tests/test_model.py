@@ -327,3 +327,9 @@ def test_a_numpy_integer_mlp_stride_is_taken_as_an_int():
     plan = stage_plan(build_mlp(4, 3, 5, 4, 3, seed=9), np.int64(2))
     assert [st.stride for st in plan] == [2, 1, 1]
     assert all(type(st.stride) is int for st in plan)
+
+
+def test_a_numpy_integer_lico_stride_equal_to_the_nets_is_taken():
+    net = build_lico_net(4, 1, 4, 2, 3, 1, 3, seed=0)
+    assert [st.stride for st in stage_plan(net, np.int64(1))] == [1, 1, 1, 1]
+    assert receptive_field(net, np.int64(1)) == receptive_field(net) == 3

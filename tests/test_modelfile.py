@@ -150,6 +150,7 @@ MALFORMED = {
     ),
     "first-stride-fraction": ("mlp", _set("first_stride", value=1.5)),
     "window-fraction": ("lico", _set("decoder", "window_steps", value=36.5)),
+    "frontend-hop-under-a-sample": ("lico", _set("frontend", "hop_ms", value=0.02)),
     # An arch or tensor entry that the tensors do not bear out.
     "lico-width": ("lico", _set("arch", "blocks", 0, "width", value=lambda w: w + 1)),
     "lico-expansion": ("lico", _set("arch", "blocks", 1, "expansion", value=lambda e: e + 1)),

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from liconet.conv import apply_activation
-from liconet.decoder import DecoderConfig, DetectionEvent, PosteriorFrame
+from liconet.decoder import DecoderConfig, DetectionEvent, KeywordDecoder, PosteriorFrame
 from liconet.errors import CalibrationError, ConfigError, InvalidInputError, ManifestError
 from liconet.errors import ShapeError
+from liconet.frontend import FrontendConfig
 from liconet.linearize import linearize_network
 from liconet.model import build_lico_block, build_lico_net, build_mlp, network_forward, stage_plan
 from liconet.model import receptive_field
@@ -24,6 +25,10 @@ from liconet.tensor import QuantParams, Tensor2D, choose_quant_params
 
 def _mlp():
     return build_mlp(4, 3, 5, 4, 3, seed=0)
+
+
+def _lico():
+    return build_lico_net(4, 1, 4, 2, 3, 1, 3, seed=0)
 
 
 def _lnet():
@@ -45,6 +50,17 @@ def _short_ranges():
 def _stage(name, in_dim, channels, kernel, residual_from=None):
     op = LinearLayer(np.ones((in_dim, 2)), np.zeros(2))
     return PipelineStage(name, op, channels, kernel, 1, residual_from)
+
+
+def _geometry(channels, kernel, stride):
+    return PipelineStage("a", LinearLayer(np.ones((4, 2)), np.zeros(2)), channels, kernel, stride)
+
+
+def _decode(*class_counts):
+    """Frames of the given class counts, in order, through one decoder of keyword id 2."""
+    decoder = KeywordDecoder(DecoderConfig(3, 1, (2,)))
+    for c in class_counts:
+        decoder.update(PosteriorFrame(0, np.full(c, 1 / c)))
 
 
 def _kind_svdf(tmp_path):
@@ -73,6 +89,9 @@ CASES = {
         "ranges for 2 stages, pipeline has 3",
     ),
     "no-stages": (lambda _: check_geometry([]), ShapeError, "at least one stage"),
+    "stage-channels-0": (lambda _: _geometry(0, 4, 1), ShapeError, "(0, 4, 1) must be integers"),
+    "stage-kernel-0": (lambda _: _geometry(1, 0, 1), ShapeError, "(1, 0, 1) must be integers"),
+    "stage-stride-0": (lambda _: _geometry(1, 4, 0), ShapeError, "(1, 4, 0) must be integers"),
     "kernel-3-inside-a-residual": (
         lambda _: check_geometry(
             [_stage("a", 2, 2, 1), _stage("b", 6, 2, 3), _stage("c", 2, 2, 1, residual_from=0)]
@@ -95,6 +114,16 @@ CASES = {
     ),
     "kind-svdf": (_kind_svdf, ManifestError, "unknown model kind 'svdf'"),
     "window-below-smoothing": (lambda _: DecoderConfig(3, 5, (1,)), ConfigError, "window"),
+    "decoder-frame-without-the-keyword": (
+        lambda _: _decode(2), InvalidInputError, "a frame of 2 classes, keyword ids need 3",
+    ),
+    "decoder-class-count-changes": (
+        lambda _: _decode(3, 3, 4), InvalidInputError, "a frame of 4 classes, the stream has 3",
+    ),
+    "frontend-hop-under-a-sample": (
+        lambda _: FrontendConfig(hop_ms=0.02), ConfigError,
+        "hop 0.02 ms is under one sample at 16000 Hz",
+    ),
     "probs-3-d": (
         lambda _: PosteriorFrame(0, np.full((2, 2, 2), 0.5)), InvalidInputError, "shape (2, 2, 2)",
     ),
@@ -107,18 +136,25 @@ CASES = {
     "mode-log": (lambda _: choose_quant_params(0, 1, "log"), InvalidInputError, "'log'"),
 }
 
-# An MLP stride that is no whole number is refused by the stage plan, through
-# every call that reaches it, with the message of stride 0.
+# A stride that is no whole number is refused by the stage plan, through
+# every call that reaches it, with the message of stride 0: on an MLP, and
+# on a stride-1 LiCo net, whose own stride 1 these equal.
 _STRIDE_CALLS = {
     "plan": stage_plan,
     "field": receptive_field,
-    "forward": lambda net, s: network_forward(net, Tensor2D(np.zeros((3, 8))), s),
+    "forward": lambda net, s: network_forward(net, Tensor2D(np.zeros((net.input_features, 8))), s),
 }
-for _name, _call in _STRIDE_CALLS.items():
-    for _label, _stride in (("1.5", 1.5), ("true", True), ("numpy-2.0", np.float64(2.0))):
-        CASES[f"mlp-{_name}-stride-{_label}"] = (
-            lambda _, c=_call, s=_stride: c(_mlp(), s), ConfigError, "stride must be >= 1"
-        )
+_BAD_STRIDES = {
+    "mlp": (_mlp, (("1.5", 1.5), ("true", True), ("numpy-2.0", np.float64(2.0)))),
+    "lico": (_lico, (("1.0", 1.0), ("true", True), ("numpy-1.0", np.float64(1.0)))),
+}
+for _arch, (_net, _strides) in _BAD_STRIDES.items():
+    for _name, _call in _STRIDE_CALLS.items():
+        for _label, _stride in _strides:
+            CASES[f"{_arch}-{_name}-stride-{_label}"] = (
+                lambda _, n=_net, c=_call, s=_stride: c(n(), s), ConfigError,
+                "stride must be >= 1",
+            )
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
