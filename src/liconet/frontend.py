@@ -57,7 +57,7 @@ class FrontendConfig:
             raise ConfigError("sample rate, window, and hop must be positive")
         if self.hop_ms > self.window_ms:
             raise ConfigError("hop must not exceed the window")
-        if self.hop_samples < 1:  # the window, no shorter, then has a sample too
+        if self.hop_samples < 1:  # the window is no shorter, so this covers it too
             raise ConfigError(f"hop {self.hop_ms} ms is under one sample at {self.sample_rate} Hz")
         if self.n_mels < 1:
             raise ConfigError("need at least one mel band")

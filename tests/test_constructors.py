@@ -108,7 +108,7 @@ def _op():
 BOOL_CASES = {
     "conv-stride": (lambda: _conv(stride=True), ConfigError),
     "stage-kernel": (lambda: PipelineStage("s", _op(), 2, True, 1), ShapeError),
-    # A stride-1 net, whose stride True equals.
+    # On a stride-1 net, where True == 1 would pass a compare with its stride.
     "lico-plan-stride": (
         lambda: stage_plan(build_lico_net(4, 1, 4, 2, 3, 1, 3, seed=0), True), ConfigError
     ),
