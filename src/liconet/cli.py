@@ -206,7 +206,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ModelFileError, NotLinearizableError, CalibrationError, ValueError, OSError) as exc:
+    except (ModelFileError, NotLinearizableError, CalibrationError, ValueError, OSError,
+            MemoryError) as exc:  # numpy refuses an allocation with a MemoryError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,12 +19,11 @@ built by `PosteriorFrame._of` over read-only arrays, without a second check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError, is_real, is_whole, plain
+from .errors import FLOAT_MAX, ConfigError, InvalidInputError, is_real, is_whole, plain
 
 
 def _least(a):
@@ -128,7 +127,7 @@ class DecoderConfig:
             raise ConfigError("keyword class ids must be distinct")
         if min(self.keyword_ids) < 0:
             raise ConfigError("keyword class ids must be non-negative")
-        if not (is_real(self.threshold) and 0 <= self.threshold < math.inf):
+        if not (is_real(self.threshold) and 0 <= plain(self.threshold) <= FLOAT_MAX):
             raise ConfigError(f"threshold must be finite and non-negative, got {self.threshold}")
         object.__setattr__(self, "threshold", plain(self.threshold))
 

@@ -1,6 +1,10 @@
 """Exception types shared across the package, and its number tests."""
 
+import sys
+
 import numpy as np
+
+FLOAT_MAX = sys.float_info.max  # a Python int or float compares with it exactly; NaN fails it
 
 
 def is_whole(value) -> bool:

@@ -12,21 +12,29 @@ pipeline.py's rules for the unconsumed tail, a live step's one window and
 the MAX_PASS_STEPS pass bound. Each frame gets its own rfft and mel GEMV,
 so frames are byte-identical however the PCM is split across pushes.
 FrontendConfig refuses a hop that rounds to under one sample, as a stage
-must stride at least one column.
+must stride at least one column, and mel edges that do not increase.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError, is_real, is_whole, plain
+from .errors import FLOAT_MAX, ConfigError, InvalidInputError, is_real, is_whole, plain
 from .pipeline import MAX_PASS_STEPS, PipelineStage, StreamState
 
 # Every setting but the normalization vectors.
 NUMBER_FIELDS = ("sample_rate", "window_ms", "hop_ms", "n_mels", "fmin", "fmax", "log_floor")
+
+
+@lru_cache(maxsize=16)  # every load checks its range's edges; loads of one range share them
+def mel_edges(fmin: float, fmax: float, n_mels: int) -> tuple[float, ...]:
+    """The n_mels + 2 filter edges in Hz, from fmin to fmax evenly in HTK mel."""
+    mel_min, mel_max = 2595.0 * np.log10(1.0 + np.array([fmin, fmax], float) / 700.0)
+    mels = np.linspace(mel_min, mel_max, n_mels + 2)
+    return tuple((700.0 * (np.power(10.0, mels / 2595.0) - 1.0)).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,8 +50,10 @@ class FrontendConfig:
     norm_std: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (is_whole(self.sample_rate) and is_whole(self.n_mels)):
-            raise ConfigError(f"rate {self.sample_rate!r} and bands {self.n_mels!r} must be whole")
+        if not (is_whole(self.sample_rate) and 1 <= self.sample_rate <= FLOAT_MAX):
+            raise ConfigError(f"need a whole rate of 1 to {FLOAT_MAX} Hz, got {self.sample_rate!r}")
+        if not (is_whole(self.n_mels) and self.n_mels >= 1):
+            raise ConfigError(f"need a whole number of mel bands >= 1, got {self.n_mels!r}")
         if self.fmax is None:
             object.__setattr__(self, "fmax", self.sample_rate / 2.0)
         reals = (self.window_ms, self.hop_ms, self.fmin, self.fmax, self.log_floor)
@@ -51,16 +61,12 @@ class FrontendConfig:
             raise ConfigError(f"window, hop, mel range and log floor must be numbers, got {reals}")
         for name in NUMBER_FIELDS:  # JSON takes no numpy number
             object.__setattr__(self, name, plain(getattr(self, name)))
-        if not 0 < self.log_floor < np.inf:  # NaN fails too
+        if not 0 < self.log_floor <= FLOAT_MAX:  # NaN fails too
             raise ConfigError(f"log floor must be finite and positive, got {self.log_floor}")
-        if self.sample_rate < 1 or self.window_ms <= 0 or self.hop_ms <= 0:
-            raise ConfigError("sample rate, window, and hop must be positive")
-        if self.hop_ms > self.window_ms:
-            raise ConfigError("hop must not exceed the window")
+        if not 0 < self.hop_ms <= self.window_ms or self.sample_rate * self.window_ms > FLOAT_MAX:
+            raise ConfigError("need 0 < hop <= window, and rate * window within the float range")
         if self.hop_samples < 1:  # the window is no shorter, so this covers it too
             raise ConfigError(f"hop {self.hop_ms} ms is under one sample at {self.sample_rate} Hz")
-        if self.n_mels < 1:
-            raise ConfigError("need at least one mel band")
         if not 0 <= self.fmin < self.fmax:
             raise ConfigError(f"bad mel range [{self.fmin}, {self.fmax}]")
         if self.fmax > self.sample_rate / 2:  # a filter past Nyquist covers no FFT bin
@@ -73,6 +79,9 @@ class FrontendConfig:
             raise ConfigError(f"normalization vectors must have length {self.n_mels}")
         if not np.all(std > 0):
             raise ConfigError("norm_std must be strictly positive")
+        edges = mel_edges(self.fmin, self.fmax, self.n_mels)
+        if any(lo >= hi for lo, hi in zip(edges, edges[1:])):  # else a filter divides by 0
+            raise ConfigError(f"mel range [{self.fmin}, {self.fmax}] collapses its filter edges")
         mean.setflags(write=False)
         std.setflags(write=False)
         object.__setattr__(self, "norm_mean", mean)
@@ -102,14 +111,11 @@ class FrontendConfig:
 
     @cached_property
     def mel_bank(self) -> np.ndarray:
-        """Triangular filters at the FFT bin frequencies, spaced evenly in HTK mel."""
-        mel_min, mel_max = 2595.0 * np.log10(1.0 + np.array([self.fmin, self.fmax]) / 700.0)
-        mels = np.linspace(mel_min, mel_max, self.n_mels + 2)
-        edges = 700.0 * (np.power(10.0, mels / 2595.0) - 1.0)
+        """Triangular filters at the FFT bin frequencies, over mel_edges."""
         bins = np.arange(self.n_fft // 2 + 1) * (self.sample_rate / self.n_fft)
         bank = np.zeros((self.n_mels, bins.size))
-        for m in range(self.n_mels):
-            lo, mid, hi = edges[m], edges[m + 1], edges[m + 2]
+        edges = mel_edges(self.fmin, self.fmax, self.n_mels)
+        for m, (lo, mid, hi) in enumerate(zip(edges, edges[1:], edges[2:])):
             rising = (bins - lo) / (mid - lo)
             falling = (hi - bins) / (hi - mid)
             bank[m] = np.maximum(0.0, np.minimum(rising, falling))

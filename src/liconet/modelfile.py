@@ -264,7 +264,7 @@ def load_model(path) -> Model:
         manifest = json.loads(raw[10 : 10 + manifest_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
-    except ValueError as exc:  # valid JSON, but an integer past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # valid JSON: past the digit limit, or too deep
         raise ManifestError(f"manifest holds a value Python cannot read: {exc}") from exc
     try:
         # A view, not a copy of the blob: each tensor is copied out by astype.

@@ -7,12 +7,11 @@ real ~= scale * (q - zero_point) with q stored as signed 8-bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, ShapeError, is_real, is_whole, plain
+from .errors import FLOAT_MAX, InvalidInputError, ShapeError, is_real, is_whole, plain
 
 QMIN = -128
 QMAX = 127
@@ -75,16 +74,14 @@ class QuantParams:
             raise InvalidInputError(f"zero_point {zero_point!r} is not an integer")
         if not is_real(scale):
             raise InvalidInputError(f"scale {scale!r} is not a real number")
-        try:
-            finite = math.isfinite(scale)
-        except OverflowError as exc:  # an integer past the float range
-            raise InvalidInputError(f"scale does not fit a float: {exc}") from exc
-        if not (finite and scale > 0):
+        if type(value := plain(scale)) is int and abs(value) > FLOAT_MAX:
+            raise InvalidInputError("scale does not fit a float: int too large to convert to float")
+        if not 0 < value <= FLOAT_MAX:  # NaN fails too
             raise InvalidInputError(f"scale must be positive, got {scale}")
         if not QMIN <= zero_point <= QMAX:
             raise InvalidInputError(f"zero_point {zero_point} outside [{QMIN}, {QMAX}]")
         if type(zero_point) is not int or type(scale) is not float:  # JSON takes no numpy number
-            object.__setattr__(self, "scale", plain(scale))
+            object.__setattr__(self, "scale", value)
             object.__setattr__(self, "zero_point", int(zero_point))
 
 

@@ -212,6 +212,10 @@ FRONTEND_CASES = {
     "no-mel-bands": dict(n_mels=0),
     "negative-fmin": dict(fmin=-1.0),
     "fmin-above-fmax": dict(fmin=4000.0, fmax=3000.0),
+    # Two equal filter edges make a triangle of zero width.
+    "mel-edges-at-fmax-1e-12": dict(fmax=1e-12),
+    "mel-edges-at-fmax-5e-324": dict(fmax=5e-324),
+    "mel-edges-a-tenth-nano-hertz-wide": dict(fmin=7999.9999999999, fmax=8000.0),
     "norm-mean-length": dict(norm_mean=np.zeros(39)),
     "norm-std-length": dict(norm_std=np.ones(41)),
     "norm-std-zero": dict(norm_std=np.r_[np.ones(39), 0.0]),
@@ -240,6 +244,12 @@ FRONTEND_NUMBER_CASES = {
     "log-floor-negative": dict(log_floor=-1.0),
     "log-floor-inf": dict(log_floor=float("inf")),
     "log-floor-nan": dict(log_floor=float("nan")),
+    # A window whose sample count a float cannot hold, or NaN.
+    "window-inf": dict(window_ms=float("inf")),
+    "window-nan": dict(window_ms=float("nan")),
+    "window-1e308": dict(window_ms=1e308),
+    "window-10-to-400": dict(window_ms=10**400),
+    "log-floor-10-to-400": dict(log_floor=10**400),
 }
 
 

@@ -123,6 +123,29 @@ def test_mel_bank_matches_triangles_built_bin_by_bin(kwargs):
     np.testing.assert_allclose(cfg.mel_bank, want, rtol=0, atol=1e-12)
 
 
+# Every config the frontend and constructor tests accept, and the narrowest
+# mel ranges whose filter edges still increase.
+ACCEPTED = {
+    "default": {},
+    "8k": dict(sample_rate=8000, n_mels=23, fmin=20.0, fmax=3800.0),
+    "8k-whole-numbers": dict(sample_rate=8000, n_mels=23, hop_ms=10, fmax=4000, log_floor=1),
+    "8k-numpy-numbers": dict(sample_rate=np.int64(8000), n_mels=np.int16(23), fmax=np.float32(4000)),
+    "16k-fmax-at-nyquist": dict(fmax=8000.0),
+    "fmax-1e-11": dict(fmax=1e-11),
+    "one-band-fmax-1e-12": dict(n_mels=1, fmax=1e-12),
+    "a-micro-hertz-below-nyquist": dict(fmin=7999.999999, fmax=8000.0),
+    "one-hertz": dict(sample_rate=1, window_ms=1000, hop_ms=1000, n_mels=1, fmax=0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACCEPTED))
+def test_the_mel_bank_of_an_accepted_config_builds_without_a_floating_point_error(case):
+    cfg = FrontendConfig(**ACCEPTED[case])
+    with np.errstate(all="raise"):
+        bank = cfg.mel_bank
+    assert bank.shape[0] == cfg.n_mels and np.isfinite(bank).all()
+
+
 UNREADABLE = "PCM must be 1-D int16 or float, got {} of shape {}".format
 NOT_FINITE = "PCM must be finite: {} {} holds NaN or inf".format
 

@@ -3,6 +3,7 @@ fail inside load_model with a ModelFileError, never later at a step."""
 
 import copy
 import json
+import math
 import struct
 
 import numpy as np
@@ -19,7 +20,7 @@ from liconet.linearize import linearize_network
 from liconet.model import build_lico_net, build_mlp
 from liconet.modelfile import Model, default_model, load_model, save_model
 from liconet.quantize import calibrate_activations, quantize_network
-from liconet.runtime import make_engine
+from liconet.runtime import make_engine, write_wav
 from liconet.tensor import Tensor2D
 
 
@@ -151,6 +152,20 @@ MALFORMED = {
     "first-stride-fraction": ("mlp", _set("first_stride", value=1.5)),
     "window-fraction": ("lico", _set("decoder", "window_steps", value=36.5)),
     "frontend-hop-under-a-sample": ("lico", _set("frontend", "hop_ms", value=0.02)),
+    # Numbers past the float range, or NaN, that once loaded and failed at a step.
+    "frontend-window-inf": ("lico", _set("frontend", "window_ms", value=math.inf)),
+    "frontend-window-1e308": ("lico", _set("frontend", "window_ms", value=1e308)),
+    "frontend-window-10-to-400": ("lico", _set("frontend", "window_ms", value=10**400)),
+    "frontend-window-nan": ("lico", _set("frontend", "window_ms", value=math.nan)),
+    "frontend-window-and-hop-inf": (
+        "lico", lambda m: m["frontend"].update(window_ms=math.inf, hop_ms=math.inf)
+    ),
+    "frontend-rate-10-to-400": ("lico", _set("frontend", "sample_rate", value=10**400)),
+    "frontend-rate-minus-10-to-400": ("lico", _set("frontend", "sample_rate", value=-(10**400))),
+    "frontend-log-floor-10-to-400": ("lico", _set("frontend", "log_floor", value=10**400)),
+    "decoder-threshold-10-to-400": ("lico", _set("decoder", "threshold", value=10**400)),
+    # Every filter edge rounds to 0 Hz, so the mel bank would divide by zero.
+    "frontend-mel-range-collapses": ("lico", _set("frontend", "fmax", value=1e-300)),
     # An arch or tensor entry that the tensors do not bear out.
     "lico-width": ("lico", _set("arch", "blocks", 0, "width", value=lambda w: w + 1)),
     "lico-expansion": ("lico", _set("arch", "blocks", 1, "expansion", value=lambda e: e + 1)),
@@ -201,6 +216,11 @@ DAMAGED = {
     "manifest-not-json": (_manifest_byte(b"["), ManifestError),
     "last-tensor-short": (lambda raw: raw[:-1], TruncatedError),
     "trailing-byte": (lambda raw: raw + b"\0", ManifestError),
+    # Valid JSON, nested past Python's recursion limit.
+    "manifest-nested-too-deep": (
+        lambda raw: raw[:6] + struct.pack("<I", 200_000) + b"[" * 100_000 + b"]" * 100_000,
+        ManifestError,
+    ),
 }
 
 
@@ -213,6 +233,24 @@ def test_a_damaged_header_or_blob_fails_in_load_and_cli(tmp_path, capsys, case):
         load_model(path)
     assert cli_main(["info", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_an_allocation_numpy_refuses_exits_1_with_one_error_line(tmp_path, capsys, command):
+    """10**15 steps is past the 128 TiB address space of an x86-64 process,
+    so numpy refuses the array at once, before it touches any memory: run
+    on a decoder window of 10**15 steps, verify over 10**15 steps."""
+    path = _save(tmp_path, "lico")
+    if command == "run":
+        _rewrite(path, _set("decoder", "window_steps", value=10**15))
+        write_wav(tmp_path / "quiet.wav", np.zeros(1600, dtype=np.int16))
+        argv = ["run", str(path), "--wav", str(tmp_path / "quiet.wav")]
+    else:
+        argv = ["verify", str(path), "--steps", str(10**15)]
+    assert cli_main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert out == ""
 
 
 def test_an_edit_the_tensors_bear_out_still_loads(tmp_path):
