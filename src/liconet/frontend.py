@@ -18,7 +18,7 @@ must stride at least one column, and mel edges that do not increase.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -27,14 +27,6 @@ from .pipeline import MAX_PASS_STEPS, PipelineStage, StreamState
 
 # Every setting but the normalization vectors.
 NUMBER_FIELDS = ("sample_rate", "window_ms", "hop_ms", "n_mels", "fmin", "fmax", "log_floor")
-
-
-@lru_cache(maxsize=16)  # every load checks its range's edges; loads of one range share them
-def mel_edges(fmin: float, fmax: float, n_mels: int) -> tuple[float, ...]:
-    """The n_mels + 2 filter edges in Hz, from fmin to fmax evenly in HTK mel."""
-    mel_min, mel_max = 2595.0 * np.log10(1.0 + np.array([fmin, fmax], float) / 700.0)
-    mels = np.linspace(mel_min, mel_max, n_mels + 2)
-    return tuple((700.0 * (np.power(10.0, mels / 2595.0) - 1.0)).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +55,9 @@ class FrontendConfig:
             object.__setattr__(self, name, plain(getattr(self, name)))
         if not 0 < self.log_floor <= FLOAT_MAX:  # NaN fails too
             raise ConfigError(f"log floor must be finite and positive, got {self.log_floor}")
-        if not 0 < self.hop_ms <= self.window_ms or self.sample_rate * self.window_ms > FLOAT_MAX:
+        # Both, as the sample counts take them: a float window's rounds, an int hop's is exact.
+        products = (self.sample_rate * self.window_ms, self.sample_rate * self.hop_ms)
+        if not 0 < self.hop_ms <= self.window_ms or max(products) > FLOAT_MAX:
             raise ConfigError("need 0 < hop <= window, and rate * window within the float range")
         if self.hop_samples < 1:  # the window is no shorter, so this covers it too
             raise ConfigError(f"hop {self.hop_ms} ms is under one sample at {self.sample_rate} Hz")
@@ -79,8 +73,7 @@ class FrontendConfig:
             raise ConfigError(f"normalization vectors must have length {self.n_mels}")
         if not np.all(std > 0):
             raise ConfigError("norm_std must be strictly positive")
-        edges = mel_edges(self.fmin, self.fmax, self.n_mels)
-        if any(lo >= hi for lo, hi in zip(edges, edges[1:])):  # else a filter divides by 0
+        if not np.all(self.mel_edges[:-1] < self.mel_edges[1:]):  # else a filter divides by 0
             raise ConfigError(f"mel range [{self.fmin}, {self.fmax}] collapses its filter edges")
         mean.setflags(write=False)
         std.setflags(write=False)
@@ -110,15 +103,19 @@ class FrontendConfig:
         return w
 
     @cached_property
+    def mel_edges(self) -> np.ndarray:
+        """The n_mels + 2 filter edges in Hz, from fmin to fmax evenly in HTK mel."""
+        mels = 2595.0 * np.log10(1.0 + np.array([self.fmin, self.fmax], float) / 700.0)
+        edges = 700.0 * (np.power(10.0, np.linspace(*mels, self.n_mels + 2) / 2595.0) - 1.0)
+        edges.setflags(write=False)
+        return edges
+
+    @cached_property
     def mel_bank(self) -> np.ndarray:
         """Triangular filters at the FFT bin frequencies, over mel_edges."""
         bins = np.arange(self.n_fft // 2 + 1) * (self.sample_rate / self.n_fft)
-        bank = np.zeros((self.n_mels, bins.size))
-        edges = mel_edges(self.fmin, self.fmax, self.n_mels)
-        for m, (lo, mid, hi) in enumerate(zip(edges, edges[1:], edges[2:])):
-            rising = (bins - lo) / (mid - lo)
-            falling = (hi - bins) / (hi - mid)
-            bank[m] = np.maximum(0.0, np.minimum(rising, falling))
+        lo, mid, hi = (self.mel_edges[i : i + self.n_mels, None] for i in range(3))
+        bank = np.maximum(0.0, np.minimum((bins - lo) / (mid - lo), (hi - bins) / (hi - mid)))
         bank.setflags(write=False)
         return bank
 

@@ -74,7 +74,8 @@ class QuantParams:
             raise InvalidInputError(f"zero_point {zero_point!r} is not an integer")
         if not is_real(scale):
             raise InvalidInputError(f"scale {scale!r} is not a real number")
-        if type(value := plain(scale)) is int and abs(value) > FLOAT_MAX:
+        # float() fails from 2**1024 - 2**970 on; a negative int short of that is not positive
+        if type(value := plain(scale)) is int and not -(2**1024 - 2**970) < value <= FLOAT_MAX:
             raise InvalidInputError("scale does not fit a float: int too large to convert to float")
         if not 0 < value <= FLOAT_MAX:  # NaN fails too
             raise InvalidInputError(f"scale must be positive, got {scale}")

@@ -232,6 +232,8 @@ def test_frontend_config_rejects(case):
 # Numbers a model file may carry in its frontend entries: counts must be
 # whole, lengths and frequencies real and not bools, the log floor finite
 # and positive.
+# A rate under the float bound: times 5.0 it rounds to the bound, times 5 it is past it.
+EDGE_RATE = 7205759403792793 * 2**969 + -(-(2**969) // 5)
 FRONTEND_NUMBER_CASES = {
     "sample-rate-fraction": dict(sample_rate=16000.5),
     "sample-rate-bool": dict(sample_rate=True),
@@ -250,6 +252,7 @@ FRONTEND_NUMBER_CASES = {
     "window-1e308": dict(window_ms=1e308),
     "window-10-to-400": dict(window_ms=10**400),
     "log-floor-10-to-400": dict(log_floor=10**400),
+    "rate-times-int-hop-past-the-bound": dict(sample_rate=EDGE_RATE, window_ms=5.0, hop_ms=5),
 }
 
 

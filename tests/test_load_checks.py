@@ -53,6 +53,19 @@ SCALES = {
     "ten-to-the-400": (
         10**400, InvalidInputError, "scale does not fit a float: int too large to convert to float",
     ),
+    # float() rounds an int to the float bound up to 2**1024 - 2**970, where it overflows.
+    "just-above-the-float-bound": (
+        2**1024 - 2**970 - 1, InvalidInputError,
+        "scale does not fit a float: int too large to convert to float",
+    ),
+    "minus-just-above-the-float-bound": (
+        -(2**1024 - 2**970 - 1), InvalidInputError,
+        f"scale must be positive, got {-(2**1024 - 2**970 - 1)}",
+    ),
+    "minus-2-to-the-1024-minus-2-to-the-970": (
+        -(2**1024 - 2**970), InvalidInputError,
+        "scale does not fit a float: int too large to convert to float",
+    ),
     "bool": (True, InvalidInputError, "scale True is not a real number"),
     "text": ("0.5", InvalidInputError, "scale '0.5' is not a real number"),
     "float32": (np.float32(0.5), None, None),

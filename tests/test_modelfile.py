@@ -160,6 +160,9 @@ MALFORMED = {
     "frontend-window-and-hop-inf": (
         "lico", lambda m: m["frontend"].update(window_ms=math.inf, hop_ms=math.inf)
     ),
+    "frontend-rate-times-int-hop-past-the-bound": ("lico", lambda m: m["frontend"].update(
+        sample_rate=7205759403792793 * 2**969 + -(-(2**969) // 5), window_ms=5.0, hop_ms=5
+    )),
     "frontend-rate-10-to-400": ("lico", _set("frontend", "sample_rate", value=10**400)),
     "frontend-rate-minus-10-to-400": ("lico", _set("frontend", "sample_rate", value=-(10**400))),
     "frontend-log-floor-10-to-400": ("lico", _set("frontend", "log_floor", value=10**400)),
