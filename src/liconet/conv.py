@@ -1,9 +1,9 @@
 """Reference and streaming 1D convolution; no other module relates a conv's
-(D, C, K) weights to its dense operator. The batch form computes, at stride s,
+(D, C, K) weights, a view, to the dense operator that holds them. At stride s,
 
     Y[d, i] = sum_c sum_k W[d, c, k] * X[c, s*i + k] + bias[d]
 
-over i = 0 .. floor((T-K)/s), followed by the layer activation. The
+over i = 0 .. floor((T-K)/s), then the activation, is the batch form. The
 streaming form is a one-stage pipeline (see pipeline.py): the layer as a
 dense operator over channel-major windows, stepped over fixed-size chunks
 of t frames (t a multiple of s) with a StreamState holding the input
@@ -34,8 +34,8 @@ def apply_activation(x: Tensor2D, kind: str) -> Tensor2D:
 class Conv1DLayer:
     """Causal 1D convolution layer: weights (D, C, K), bias (D,).
 
-    dense is the layer as a (C*K, D) operator, Wd[c*K + k][d] = W[d][c][k]:
-    a column-major view of the weights, which its constructor checks.
+    dense is the layer as a (C*K, D) operator, Wd[c*K + k][d] = W[d][c][k],
+    which holds the one copy; weights is a read-only view of it.
     """
 
     weights: np.ndarray
@@ -45,13 +45,14 @@ class Conv1DLayer:
     dense: LinearLayer = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
+        w = np.asarray(self.weights)
         if w.ndim != 3:
             raise ShapeError(f"weights must be (out, in, kernel), got shape {w.shape}")
         stride = stride_of(self.stride, "stride")
-        d, c, k = w.shape
-        dense = LinearLayer(w.transpose(1, 2, 0).reshape(c * k, d), self.bias, self.activation)
-        w.setflags(write=False)
+        d, c, k = w.shape  # cast and reorder in one copy, the one the dense operator keeps
+        wd = np.ascontiguousarray(w.transpose(1, 2, 0), dtype=np.float64).reshape(c * k, d)
+        dense = LinearLayer(wd, self.bias, self.activation)
+        w = dense.weights.reshape(c, k, d).transpose(2, 0, 1)
         for name, value in (("weights", w), ("bias", dense.bias), ("dense", dense),
                             ("stride", stride)):
             object.__setattr__(self, name, value)

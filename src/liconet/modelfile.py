@@ -189,8 +189,7 @@ def _read_tensors(manifest, blob):
             raise TruncatedError(
                 f"tensor {name}: file ends {offset + byte_len - len(blob)} bytes early"
             )
-        arr = np.frombuffer(blob[offset : offset + byte_len], dtype=_DTYPES[dtype])
-        out[name] = arr.reshape(shape).astype(np.float64 if dtype == "f32" else arr.dtype)
+        out[name] = np.frombuffer(blob[offset : offset + byte_len], _DTYPES[dtype]).reshape(shape)
         offset += byte_len
     if offset != len(blob):
         raise ManifestError(f"{len(blob) - offset} unexpected trailing bytes after tensors")
@@ -267,7 +266,7 @@ def load_model(path) -> Model:
     except (ValueError, RecursionError) as exc:  # valid JSON: past the digit limit, or too deep
         raise ManifestError(f"manifest holds a value Python cannot read: {exc}") from exc
     try:
-        # A view, not a copy of the blob: each tensor is copied out by astype.
+        # Read-only views of the blob in stored dtypes; each constructor copies what it keeps.
         tensors = _read_tensors(manifest, memoryview(raw)[10 + manifest_len :])
         net = _rebuild_net(manifest, tensors)
         fe = manifest["frontend"]

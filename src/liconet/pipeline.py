@@ -31,10 +31,10 @@ pass over the prefix would. Calibration reads each stage's output from
 the same loop.
 
 An operator is anything with `forward(windows, residual, source)` and
-`out_dim`: `LinearLayer` in float64, `quantize.QuantizedLinearLayer` in
-int8, whose columns hold codes minus their zero point (both stream float64
-columns in which 0 is a zero column, so a fresh history is zeros), and
-FrontendConfig, the log-mel transform of frontend.FeatureStream's stage.
+`out_dim`: `LinearLayer` in float64, `quantize.QuantizedLinearLayer` on int8
+codes minus their zero point (each holds its weights once, row-major float64
+(in, out), and streams float64 columns in which 0 is a zero column, so a
+fresh history is zeros), and FrontendConfig, frontend.FeatureStream's operator.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ class LinearLayer(DenseOperator):
     activation: str = "none"
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)  # in any order: a conv's is a view
+        w = np.ascontiguousarray(self.weights, dtype=np.float64)  # row-major, as files store it
         b = np.asarray(self.bias, dtype=np.float64)
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise ShapeError("weights and bias must be finite")

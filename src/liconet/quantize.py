@@ -1,11 +1,11 @@
 """Post-training int8 quantization of a float64 pipeline.
 
 Weights are quantized symmetrically per tensor, activations asymmetrically
-per stage from calibrated min/max ranges (widened to include zero). Biases
-are pre-scaled to 32-bit integers in units of w_scale * in_scale. The
-quantized pipeline keeps the float one's stages, each with a
-QuantizedLinearLayer: stage j's in_params are stage j-1's out_params, so
-columns flow between stages without conversion.
+per stage from calibrated min/max ranges (widened to include zero); biases
+are pre-scaled to int32 in units of w_scale * in_scale. The pipeline keeps
+the float stages, each with a QuantizedLinearLayer holding its codes once as
+float64 and refusing any that int8 or int32 cannot hold (only a file stores
+those types); stage j's in_params are stage j-1's out_params: no conversion.
 
 Columns hold zero-point-free codes, q - zero_point, as float64 (Jacob et
 al. 2018, arXiv:1712.05877), so a zero column is 0. MAX_IN_DIM keeps each
@@ -48,8 +48,8 @@ class QuantizedLinearLayer(DenseOperator):
     GEMM: a window gets the same bits whatever windows share the call.
     """
 
-    weights: np.ndarray  # int8, (in_dim, out_dim)
-    bias: np.ndarray  # int32, (out_dim,)
+    weights: np.ndarray  # int8 codes, held as float64, (in_dim, out_dim)
+    bias: np.ndarray  # int32 codes, held as float64, (out_dim,)
     weight_params: QuantParams
     in_params: QuantParams
     out_params: QuantParams
@@ -58,14 +58,16 @@ class QuantizedLinearLayer(DenseOperator):
     def __post_init__(self):
         if self.weight_params.zero_point != 0:
             raise ConfigError("weight quantization must be symmetric (zero_point 0)")
-        w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.int8))
-        b = np.ascontiguousarray(np.asarray(self.bias, dtype=np.int32))
-        self._store(w, b)
-        if w.shape[0] > MAX_IN_DIM:
-            raise ConfigError(f"in_dim {w.shape[0]} exceeds accumulator-safe {MAX_IN_DIM}")
+        held = []
+        for name, v, kind in (("weights", self.weights, np.int8), ("bias", self.bias, np.int32)):
+            held.append(q := np.ascontiguousarray(v, dtype=np.float64))
+            r = np.iinfo(kind)  # an array of kind, as a file's, holds only codes it can
+            if np.asarray(v).dtype != kind and not np.array_equal(q, q.clip(r.min, r.max).round()):
+                raise ConfigError(f"{name} must be whole {r.dtype} codes in [{r.min}, {r.max}]")
+        self._store(*held)
+        if self.in_dim > MAX_IN_DIM:
+            raise ConfigError(f"in_dim {self.in_dim} exceeds accumulator-safe {MAX_IN_DIM}")
         m = self.weight_params.scale * self.in_params.scale / self.out_params.scale
-        object.__setattr__(self, "_w64", w.astype(np.float64))
-        object.__setattr__(self, "_b64", b.astype(np.float64))  # exact; bias stays int32 to save
         object.__setattr__(self, "_m", m)
 
     def forward(self, windows, residual=None, source=None) -> np.ndarray:
@@ -75,8 +77,8 @@ class QuantizedLinearLayer(DenseOperator):
         Without a residual, relu and the clip's lower bound are one bound:
         0 >= QMIN - zero_point, and on z >= 0 rounding half away is
         floor(z + 0.5)."""
-        z = windows @ self._w64
-        z += self._b64
+        z = windows @ self.weights
+        z += self.bias
         z *= self._m
         z = z.T
         zp = self.out_params.zero_point
@@ -166,7 +168,7 @@ def quantize_network(lnet: Pipeline, ranges: CalibrationRanges) -> Pipeline:
         out_params = choose_quant_params(rng.out_min, rng.out_max, "asymmetric")
         qlayer = QuantizedLinearLayer(
             quantize_array(layer.weights, wp),
-            round_half_away(layer.bias / (wp.scale * in_params.scale)).astype(np.int32),
+            round_half_away(layer.bias / (wp.scale * in_params.scale)),
             wp,
             in_params,
             out_params,

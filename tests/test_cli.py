@@ -408,3 +408,47 @@ def test_init_at_stride_0_exits_1_with_one_error_line(tmp_path, capsys, arch, me
     out, err = capsys.readouterr()
     assert err == f"error: {message}\n"
     assert out == "" and not path.exists()
+
+
+def _bias_past_int32(tmp_path):
+    """mlp-small (seed 1) with layer1's weights scaled by 1e-6 and its biases
+    set to 5.0, and a calibration WAV on which layer1's bias codes would be
+    about 7.5e11; as (model, wav)."""
+    from liconet.cli import MLP_PRESETS
+    from liconet.model import build_mlp, mlp_net
+    from liconet.modelfile import default_model, save_model
+    from liconet.runtime import write_wav
+
+    net = build_mlp(**MLP_PRESETS["small"], seed=1)
+    first, *rest = net.hidden + (net.classifier,)
+    layers = [(first.weights * 1e-6, np.full(first.out_dim, 5.0))]
+    layers += [(layer.weights, layer.bias) for layer in rest]
+    model, wav = tmp_path / "model.lcn", tmp_path / "calib.wav"
+    save_model(default_model(mlp_net(net.input_frames, net.input_features, layers)), model)
+    write_wav(wav, np.random.default_rng(0).uniform(-0.5, 0.5, 16000))
+    return str(model), str(wav)
+
+
+def test_quantize_network_refuses_a_bias_past_int32(tmp_path):
+    from liconet.errors import ConfigError
+    from liconet.frontend import FeatureStream
+    from liconet.modelfile import load_model
+    from liconet.quantize import calibrate_activations, quantize_network
+    from liconet.runtime import make_engine, read_wav
+    from liconet.tensor import Tensor2D
+
+    path, wav = _bias_past_int32(tmp_path)
+    model = load_model(path)
+    lnet = make_engine(model, "linear")
+    features = Tensor2D(FeatureStream(model.frontend).push(read_wav(wav)))
+    with pytest.raises(ConfigError, match=r"bias must be whole int32 codes in \[-2147483648, "):
+        quantize_network(lnet, calibrate_activations(lnet, features))
+
+
+def test_quantize_of_a_bias_past_int32_exits_1_with_one_error_line(tmp_path, capsys):
+    model, wav = _bias_past_int32(tmp_path)
+    out = tmp_path / "q.lcn"
+    assert cli_main(["quantize", model, "--calib", wav, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: bias must be whole int32 codes in [-2147483648, 2147483647]\n"
+    assert not out.exists()

@@ -58,6 +58,18 @@ def test_conv_layer_and_its_dense_form_share_one_read_only_weight_array():
     assert dense.shape == (8, 3) and dense[1 * 4 + 3, 2] == layer.weights[2, 1, 3]
 
 
+def test_int8_layer_holds_its_extreme_codes_once_as_read_only_float64():
+    from liconet.quantize import QuantizedLinearLayer
+
+    p = QuantParams(0.1, 0)
+    layer = QuantizedLinearLayer(np.array([[127, -128]]), np.array([2**31 - 1, -(2**31)]), p, p,
+                                 p, "none")
+    assert layer.weights.dtype == layer.bias.dtype == np.float64
+    assert layer.weights.tolist() == [[127, -128]] and layer.bias.tolist() == [2**31 - 1, -(2**31)]
+    assert not layer.weights.flags.writeable and not layer.bias.flags.writeable
+    assert [a for a in vars(layer) if isinstance(getattr(layer, a), np.ndarray)] == ["weights", "bias"]
+
+
 def _mlp(**change):
     """build_mlp(4, 3, 5, 6, 2)'s parts, with the given ones replaced."""
     net = build_mlp(4, 3, 5, 6, 2, seed=0)

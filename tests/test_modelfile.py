@@ -564,3 +564,30 @@ def test_default_model_refuses_a_bad_stride_before_dividing_by_it(arch, stride):
     with pytest.raises(ConfigError) as exc:
         default_model(net, first_stride=stride)
     assert str(exc.value) == f"first stride must be an integer >= 1, got {stride!r}"
+
+
+def _held_arrays(obj, seen):
+    """Every array reachable from obj through its fields and containers."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple, dict)):
+        for item in obj.values() if isinstance(obj, dict) else obj:
+            yield from _held_arrays(item, seen)
+    elif hasattr(obj, "__dict__"):
+        yield from _held_arrays(vars(obj), seen)
+
+
+@pytest.mark.parametrize("kind", ["lico", "mlp", "linearized", "quantized"])
+def test_no_array_a_loaded_model_holds_is_a_view_of_the_file(tmp_path, kind):
+    """Each array owns its memory or views one that does: none keeps the
+    bytes load_model read alive, or reads them."""
+    model = load_model(_save(tmp_path, kind))
+    arrays = list(_held_arrays(model, set()))
+    assert len(arrays) >= 2 * len(model.stages) + 2  # weights and biases, norm mean and std
+    for arr in arrays:
+        while isinstance(arr.base, np.ndarray):
+            arr = arr.base
+        assert arr.base is None, f"an array of shape {arr.shape} views a {type(arr.base)}"

@@ -41,6 +41,13 @@ def _qlayer(in_dim=4, weight_zero_point=0):
     return QuantizedLinearLayer(weights, bias, QuantParams(0.1, weight_zero_point), p, p, "relu")
 
 
+def _coded(weight=1, bias=0):
+    """A QuantizedLinearLayer whose first weight and first bias codes are those given."""
+    p = QuantParams(0.1, 0)
+    return QuantizedLinearLayer(np.array([[weight, 1], [1, 1]]), np.array([bias, 0]), p, p, p,
+                                "relu")
+
+
 def _short_ranges():
     lnet = _lnet()
     ranges = calibrate_activations(lnet, Tensor2D(np.random.default_rng(0).normal(size=(3, 20))))
@@ -80,6 +87,14 @@ def _kind_svdf(tmp_path):
 CASES = {
     "int8-weight-zero-point": (lambda _: _qlayer(weight_zero_point=1), ConfigError, "symmetric"),
     "int8-in-dim": (lambda _: _qlayer(in_dim=16385), ConfigError, "in_dim 16385"),
+    "int8-weight-128": (lambda _: _coded(weight=128), ConfigError, "weights must be whole int8"),
+    "int8-weight-minus-129": (lambda _: _coded(weight=-129), ConfigError, "[-128, 127]"),
+    "int8-weight-half": (lambda _: _coded(weight=0.5), ConfigError, "weights must be whole int8"),
+    "int8-weight-nan": (lambda _: _coded(weight=np.nan), ConfigError, "weights must be whole"),
+    "int8-bias-2-to-the-31": (
+        lambda _: _coded(bias=2**31), ConfigError, "bias must be whole int32 codes",
+    ),
+    "int8-bias-half": (lambda _: _coded(bias=0.5), ConfigError, "[-2147483648, 2147483647]"),
     "calibration-channels": (
         lambda _: calibrate_activations(_lnet(), Tensor2D(np.zeros((2, 10)))), ShapeError,
         "2 channels, expected 3",

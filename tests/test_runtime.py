@@ -172,3 +172,19 @@ def test_int8_push_of_more_steps_than_one_pass_takes():
     whole = _results(model, [pcm], engine="int8")
     assert len(whole) > 256
     assert _results(model, np.split(pcm, range(160, pcm.size, 160)), engine="int8") == whole
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("preset", ["large", "small"])
+@pytest.mark.parametrize("arch", ["lico", "mlp"])
+def test_a_float_file_on_conv_steps_as_its_linearized_file_on_linear(tmp_path, arch, preset, stride):
+    """Both hold each stage's weights as one row-major (in, out) array, so
+    their StepResults agree byte for byte, in 10 ms pushes and one whole push."""
+    float_path, lin_path = tmp_path / "float.lcn", tmp_path / "linear.lcn"
+    argv = ["init", "--arch", arch, "--preset", preset, "--stride", str(stride), "--seed", "1"]
+    assert cli_main(argv + ["--out", str(float_path)]) == 0
+    assert cli_main(["linearize", str(float_path), "--out", str(lin_path)]) == 0
+    float_model, lin_model = load_model(float_path), load_model(lin_path)
+    for pushes in ([SPLIT_PCM], np.split(SPLIT_PCM, range(160, SPLIT_PCM.size, 160))):
+        conv = _results(float_model, pushes, engine="conv")
+        assert conv and conv == _results(lin_model, pushes, engine="linear")
